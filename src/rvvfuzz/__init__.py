@@ -1,7 +1,7 @@
 """Randomized generator and differential-testing harness for RVV intrinsics."""
 
 from .catalog import build_listing
-from .codegen import build_case, emit_case
+from .codegen import emit_case
 from .coverage import category_breakdown, compute_coverage
 from .difftest import CompilerConfig, compare, load_compiler_configs, run_case
 from .intrinsics import parse_definitions
@@ -14,7 +14,6 @@ __all__ = [
     "CompilerConfig",
     "Generator",
     "RunConfig",
-    "build_case",
     "build_listing",
     "category_breakdown",
     "compare",

@@ -13,8 +13,11 @@ from .catalog import build_listing
 from .coverage import category_breakdown, compute_coverage, family_of, format_report
 from .difftest import (
     HarnessConfigError,
+    check_toolchain,
+    compare,
     load_compiler_configs,
     report as write_report,
+    run_case,
 )
 from .intrinsics import ParseError
 from .pipeline import Generator, RunConfig, fuzz_seed, write_case
@@ -107,11 +110,7 @@ def cmd_generate(args) -> int:
     gen = Generator.from_config(cfg)
     n = 0
     for seed in cfg.seed_range():
-        ir = gen.build(seed)
-        for mode in cfg.modes:
-            from .codegen import emit_case
-
-            case = emit_case(ir, mode)
+        for case in gen.cases(seed, modes=cfg.modes):
             write_case(case, cfg.out_dir)
             n += 1
     print(f"wrote {n} cases to {cfg.out_dir}")
@@ -123,6 +122,7 @@ def cmd_fuzz(args) -> int:
     if not cfg.compilers:
         raise HarnessConfigError("fuzz needs a compiler config (--compilers)")
     configs = load_compiler_configs(cfg.compilers)
+    check_toolchain(configs)
     gen = Generator.from_config(cfg)
 
     out_dir = Path(cfg.out_dir)
@@ -162,12 +162,7 @@ def cmd_coverage(args) -> int:
         if not corpus:
             raise HarnessConfigError(f"no .c files under {args.corpus_dir}")
     else:
-        from .codegen import emit_case
-
-        corpus = []
-        for seed in cfg.seed_range():
-            ir = gen.build(seed)
-            corpus.append(emit_case(ir, cfg.modes[0]).source)
+        corpus = [gen.case(seed, cfg.modes[0]).source for seed in cfg.seed_range()]
     rep = compute_coverage(corpus, gen.defs)
     breakdown = category_breakdown(rep, gen.defs)
     sys.stdout.write(format_report(rep, breakdown))
@@ -188,23 +183,20 @@ def cmd_replay(args) -> int:
     meta = json.loads(Path(args.case_json).read_text(encoding="utf-8"))
     snap = meta["snapshot"]
     cfg = _load_config(args)
-    cfg.listing = cfg.listing or None
     gen = Generator.from_config(cfg)
     if snap.get("listing_sha256") != gen.listing_sha:
         print("refusing to replay: listing changed since the case was recorded",
               file=sys.stderr)
         return EXIT_CONFIG
 
-    ir = gen.build(
+    case = gen.case(
         snap["seed"],
+        snap["mode"],
         seq_len=snap["seq_len"],
         data_len=snap["data_len"],
         ratio_token=snap["ratio_token"],
         coin_bias=snap.get("coin_bias", 0.5),
     )
-    from .codegen import emit_case
-
-    case = emit_case(ir, snap["mode"])
     digest = hashlib.sha256(case.source.encode()).hexdigest()
     if digest != meta["source_sha256"]:
         print("replayed source differs from the archived case", file=sys.stderr)
@@ -212,10 +204,11 @@ def cmd_replay(args) -> int:
     print(f"replayed {case.name}: source is byte-identical")
 
     if cfg.compilers:
-        from .difftest import compare, run_case
-
         configs = load_compiler_configs(cfg.compilers)
-        outcomes = run_case(case, configs, Path(cfg.out_dir) / f"replay_{case.name}")
+        check_toolchain(configs)
+        workdir = Path(cfg.out_dir) / f"replay_{case.name}"
+        src, _ = write_case(case, workdir)
+        outcomes = run_case(case, configs, workdir, src)
         verdicts = compare(outcomes)
         for v in verdicts:
             print(json.dumps({

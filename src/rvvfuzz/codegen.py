@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .dataflow import OpInstance, SynthIndex, VReg, allocate
-from .intrinsics import IntrinsicDef, parse_prototype
+from .intrinsics import IntrinsicDef
 from .scheduling import Schedule, build_schedule, derive_prefix_suffix
-from .selection import SelectionConfig, filter_candidates, select_sequence
+from .selection import SelectionConfig, select_sequence
 from .semantics import (
     ELEMENTWISE,
     LANE_LOCAL,
@@ -150,18 +151,12 @@ class ArrayDecl:
 
 
 @dataclass
-class LoadPlan:
+class MemPlan:
+    """How one register moves between its array and the vector file."""
+
     reg: VReg
     array: ArrayDecl
-    kind: str  # unit | strided | indexed-u | indexed-o | mask
-    index_eew: int | None = None
-
-
-@dataclass
-class StorePlan:
-    reg: VReg
-    array: ArrayDecl
-    kind: str  # unit | strided | indexed-u | indexed-o
+    kind: str  # unit | strided | indexed-u | indexed-o | mask (loads only)
     index_eew: int | None = None
 
 
@@ -183,47 +178,32 @@ def _legal_index_eews(t: VectorType, data_len: int) -> list[int]:
     return out
 
 
-def _choose_load_kind(t: VectorType, data_len: int, listed, rng) -> tuple[str, int | None]:
-    kinds: list[tuple[str, int | None]] = [("unit", None)]
-    sew, nf, tok = t.sew, t.nf, t.token
-    if nf == 1:
-        if f"__riscv_vlse{sew}_v_{tok}" in listed:
-            kinds.append(("strided", None))
-        for eew in _legal_index_eews(t, data_len):
-            if f"__riscv_vluxei{eew}_v_{tok}" in listed:
-                kinds.append(("indexed-u", eew))
-            if f"__riscv_vloxei{eew}_v_{tok}" in listed:
-                kinds.append(("indexed-o", eew))
-    else:
-        if f"__riscv_vlsseg{nf}e{sew}_v_{tok}" in listed:
-            kinds.append(("strided", None))
-        for eew in _legal_index_eews(t, data_len):
-            if f"__riscv_vluxseg{nf}ei{eew}_v_{tok}" in listed:
-                kinds.append(("indexed-u", eew))
-            if f"__riscv_vloxseg{nf}ei{eew}_v_{tok}" in listed:
-                kinds.append(("indexed-o", eew))
-    return kinds[rng.randrange(len(kinds))]
+_ADDRESSING = {"unit": "", "strided": "s", "indexed-u": "ux", "indexed-o": "ox"}
 
 
-def _choose_store_kind(t: VectorType, data_len: int, listed, rng) -> tuple[str, int | None]:
+def _mem_names(op: str, t: VectorType):
+    """Load (op "l") or store (op "s") intrinsic names for type t, as a
+    function of (kind, index eew): ``v{l|s}[s|ux|ox][seg{nf}]{e{sew}|ei{eew}}``."""
+    seg = f"seg{t.nf}" if t.nf > 1 else ""
+    suffix = f"_v_{t.token}"
+
+    def name(kind: str, eew: int | None = None) -> str:
+        width = f"ei{eew}" if eew is not None else f"e{t.sew}"
+        return f"__riscv_v{op}{_ADDRESSING[kind]}{seg}{width}{suffix}"
+
+    return name
+
+
+def _choose_mem_kind(op: str, t: VectorType, data_len: int, listed, rng) -> tuple[str, int | None]:
+    """Unit-stride always; strided and indexed forms when listed."""
+    name = _mem_names(op, t)
     kinds: list[tuple[str, int | None]] = [("unit", None)]
-    sew, nf, tok = t.sew, t.nf, t.token
-    if nf == 1:
-        if f"__riscv_vsse{sew}_v_{tok}" in listed:
-            kinds.append(("strided", None))
-        for eew in _legal_index_eews(t, data_len):
-            if f"__riscv_vsuxei{eew}_v_{tok}" in listed:
-                kinds.append(("indexed-u", eew))
-            if f"__riscv_vsoxei{eew}_v_{tok}" in listed:
-                kinds.append(("indexed-o", eew))
-    else:
-        if f"__riscv_vssseg{nf}e{sew}_v_{tok}" in listed:
-            kinds.append(("strided", None))
-        for eew in _legal_index_eews(t, data_len):
-            if f"__riscv_vsuxseg{nf}ei{eew}_v_{tok}" in listed:
-                kinds.append(("indexed-u", eew))
-            if f"__riscv_vsoxseg{nf}ei{eew}_v_{tok}" in listed:
-                kinds.append(("indexed-o", eew))
+    if name("strided") in listed:
+        kinds.append(("strided", None))
+    for eew in _legal_index_eews(t, data_len):
+        for kind in ("indexed-u", "indexed-o"):
+            if name(kind, eew) in listed:
+                kinds.append((kind, eew))
     return kinds[rng.randrange(len(kinds))]
 
 
@@ -242,8 +222,8 @@ class CaseIR:
     ops: list[OpInstance]
     P: list[list[VReg]]
     S: list[list[VReg]]
-    load_plans: dict[int, LoadPlan]  # reg id -> plan
-    store_plans: dict[int, StorePlan]
+    load_plans: dict[int, MemPlan]  # reg id -> plan
+    store_plans: dict[int, MemPlan]
     arrays: list[ArrayDecl]
     scalar_args: dict[tuple[int, int], object]  # (op index, param index) -> arg
     state: "ElementState"
@@ -277,17 +257,17 @@ def _draw(rng: random.Random, spec_val) -> int:
 
 
 def build_case(
-    defs: list[IntrinsicDef],
+    pool: Callable[[int], list[IntrinsicDef]],
     seed: int,
     *,
-    seq_len=10,
-    data_len=10,
-    ratio_token: str | None = None,
-    coin_bias: float = 0.5,
-    pools: dict[int, list[IntrinsicDef]] | None = None,
-    listed: set[str] | None = None,
-    snapshot_extra: dict | None = None,
+    listed: set[str],
+    seq_len,
+    data_len,
+    ratio_token: str | None,
+    coin_bias: float,
 ) -> CaseIR:
+    """Phase A for one seed.  ``pool`` maps a ratio to its candidates and
+    ``listed`` holds every listed name; ``pipeline.Generator`` owns both."""
     # the shape knobs draw from their own stream so that a replay pinning
     # the recorded values reproduces the exact same case stream below
     cfg_rng = random.Random(f"cfg:{seed}")
@@ -298,24 +278,17 @@ def build_case(
     cfg = SelectionConfig.from_type_token(token, n, seed)
     ratio = cfg.common_ratio
 
-    if listed is None:
-        listed = {d.full_name for d in defs}
-    if pools is not None and ratio in pools:
-        pool = pools[ratio]
-    else:
-        pool = filter_candidates(defs, ratio)
-
     # the loop's vsetvl may use any shape with the common ratio
     vt_choices = [t for t in all_value_types() if t.kind == "int" and t.ratio == ratio]
     vt = vt_choices[rng.randrange(len(vt_choices))]
     vsetvl_token = f"e{vt.sew}{lmul_token(vt.lmul)}"
 
-    seq = select_sequence(pool, cfg, rng)
+    seq = select_sequence(pool(ratio), cfg, rng)
     ops = allocate([OpInstance(d) for d in seq], rng, coin_bias)
     P, S = derive_prefix_suffix(ops)
 
-    load_plans: dict[int, LoadPlan] = {}
-    store_plans: dict[int, StorePlan] = {}
+    load_plans: dict[int, MemPlan] = {}
+    store_plans: dict[int, MemPlan] = {}
     arrays: list[ArrayDecl] = []
 
     for i in range(n):
@@ -324,20 +297,20 @@ def build_case(
             if t.is_bool:
                 src_t = _mask_source_type(t.ratio)
                 arr = ArrayDecl(f"maskin_{reg.id}", src_t, "mask-source", dlen)
-                load_plans[reg.id] = LoadPlan(reg, arr, "mask")
+                load_plans[reg.id] = MemPlan(reg, arr, "mask")
             else:
-                kind, eew = _choose_load_kind(t, dlen, listed, rng)
+                kind, eew = _choose_mem_kind("l", t, dlen, listed, rng)
                 arr = ArrayDecl(f"in_{reg.id}", t, "load-source", dlen * t.nf)
-                load_plans[reg.id] = LoadPlan(reg, arr, kind, eew)
+                load_plans[reg.id] = MemPlan(reg, arr, kind, eew)
             arrays.append(arr)
     for i in range(n):
         for reg in S[i]:
             if reg.id in store_plans:
                 continue
             t = reg.vtype
-            kind, eew = _choose_store_kind(t, dlen, listed, rng)
+            kind, eew = _choose_mem_kind("s", t, dlen, listed, rng)
             arr = ArrayDecl(f"out_{reg.id}", t, "store-destination", dlen * t.nf)
-            store_plans[reg.id] = StorePlan(reg, arr, kind, eew)
+            store_plans[reg.id] = MemPlan(reg, arr, kind, eew)
             arrays.append(arr)
 
     # memory initialization, in array declaration order
@@ -352,7 +325,7 @@ def build_case(
     scalar_args = _draw_scalar_args(ops, dlen, rng)
 
     state = analyze_agnostic(ops, load_plans, scalar_args, dlen)
-    manifest = _build_manifest(ops, S, store_plans, state)
+    manifest = _build_manifest(S, store_plans, state)
 
     snapshot = {
         "seed": seed,
@@ -362,8 +335,6 @@ def build_case(
         "data_len": dlen,
         "coin_bias": coin_bias,
     }
-    if snapshot_extra:
-        snapshot.update(snapshot_extra)
 
     return CaseIR(
         seed, ratio, token, vsetvl_token, n, dlen, ops, P, S,
@@ -426,7 +397,6 @@ def _group_index(d: IntrinsicDef, rng: random.Random) -> int:
 
 @dataclass
 class ElementState:
-    arrays: dict[str, list[bool]]  # True = defined, printable
     regs: dict[int, list]  # final per-stream-position state per register
 
 
@@ -480,7 +450,7 @@ _MASK_LOGIC = {
 
 def analyze_agnostic(
     ops: list[OpInstance],
-    load_plans: dict[int, LoadPlan],
+    load_plans: dict[int, MemPlan],
     scalar_args: dict,
     data_len: int,
 ) -> ElementState:
@@ -611,8 +581,7 @@ def analyze_agnostic(
             out.append(res)
         regs[ret.id] = out
 
-    arrays: dict[str, list[bool]] = {}
-    return ElementState(arrays, regs)
+    return ElementState(regs)
 
 
 def _defined(v: str) -> bool:
@@ -626,7 +595,7 @@ def _op_scalar(op: OpInstance, scalar_args: dict, op_index: int) -> str:
     raise CodegenError(f"{op.def_.full_name}: missing scalar slot")
 
 
-def _build_manifest(ops, S, store_plans, state: ElementState):
+def _build_manifest(S, store_plans, state: ElementState):
     """Defined positions of every store-destination array, in array order.
 
     The last definition of a register decides the final array contents in
@@ -651,7 +620,6 @@ def _build_manifest(ops, S, store_plans, state: ElementState):
                     flags.append(_defined(st[f][p_pos]) if st else False)
         else:
             flags = [_defined(v) for v in st] if st else [False] * plan.array.length
-        state.arrays[plan.array.name] = flags
         for idx, ok in enumerate(flags):
             if ok:
                 manifest.append((plan.array.name, idx))
@@ -730,7 +698,21 @@ def _index_expr(t: VectorType, eew: int, step: int) -> str:
     return f"__riscv_vmul_vx_{itok}({vid}, {step}, vl)"
 
 
-def _load_stmt(plan: LoadPlan, declared: set[int]) -> str:
+def _mem_call(op: str, plan: MemPlan) -> str:
+    t = plan.reg.vtype
+    step = (t.sew // 8) * t.nf
+    args = [_ptr_name(plan.array)]
+    if plan.kind == "strided":
+        args.append(str(step))
+    elif plan.kind != "unit":
+        args.append(_index_expr(t, plan.index_eew, step))
+    if op == "s":
+        args.append(plan.reg.name)
+    args.append("vl")
+    return f"{_mem_names(op, t)(plan.kind, plan.index_eew)}({', '.join(args)})"
+
+
+def _load_stmt(plan: MemPlan, declared: set[int]) -> str:
     reg, t, arr = plan.reg, plan.reg.vtype, plan.array
     decl = f"{t.cname} " if reg.id not in declared else ""
     declared.add(reg.id)
@@ -744,49 +726,7 @@ def _load_stmt(plan: LoadPlan, declared: set[int]) -> str:
             f"__riscv_vmseq_vx_{src_t.token}_{bt}(mload_{reg.id}, 1, vl);"
         )
         return lines
-    sew, nf, tok = t.sew, t.nf, t.token
-    step = (sew // 8) * nf
-    if nf == 1:
-        if plan.kind == "unit":
-            call = f"__riscv_vle{sew}_v_{tok}({ptr}, vl)"
-        elif plan.kind == "strided":
-            call = f"__riscv_vlse{sew}_v_{tok}({ptr}, {step}, vl)"
-        else:
-            mn = "vluxei" if plan.kind == "indexed-u" else "vloxei"
-            idx = _index_expr(t, plan.index_eew, step)
-            call = f"__riscv_{mn}{plan.index_eew}_v_{tok}({ptr}, {idx}, vl)"
-    else:
-        if plan.kind == "unit":
-            call = f"__riscv_vlseg{nf}e{sew}_v_{tok}({ptr}, vl)"
-        elif plan.kind == "strided":
-            call = f"__riscv_vlsseg{nf}e{sew}_v_{tok}({ptr}, {step}, vl)"
-        else:
-            mn = "vluxseg" if plan.kind == "indexed-u" else "vloxseg"
-            idx = _index_expr(t, plan.index_eew, step)
-            call = f"__riscv_{mn}{nf}ei{plan.index_eew}_v_{tok}({ptr}, {idx}, vl)"
-    return f"{decl}{reg.name} = {call};"
-
-
-def _store_stmt(plan: StorePlan) -> str:
-    t, arr = plan.reg.vtype, plan.array
-    sew, nf, tok = t.sew, t.nf, t.token
-    ptr = _ptr_name(arr)
-    step = (sew // 8) * nf
-    if nf == 1:
-        if plan.kind == "unit":
-            return f"__riscv_vse{sew}_v_{tok}({ptr}, {plan.reg.name}, vl);"
-        if plan.kind == "strided":
-            return f"__riscv_vsse{sew}_v_{tok}({ptr}, {step}, {plan.reg.name}, vl);"
-        mn = "vsuxei" if plan.kind == "indexed-u" else "vsoxei"
-        idx = _index_expr(t, plan.index_eew, step)
-        return f"__riscv_{mn}{plan.index_eew}_v_{tok}({ptr}, {idx}, {plan.reg.name}, vl);"
-    if plan.kind == "unit":
-        return f"__riscv_vsseg{nf}e{sew}_v_{tok}({ptr}, {plan.reg.name}, vl);"
-    if plan.kind == "strided":
-        return f"__riscv_vssseg{nf}e{sew}_v_{tok}({ptr}, {step}, {plan.reg.name}, vl);"
-    mn = "vsuxseg" if plan.kind == "indexed-u" else "vsoxseg"
-    idx = _index_expr(t, plan.index_eew, step)
-    return f"__riscv_{mn}{nf}ei{plan.index_eew}_v_{tok}({ptr}, {idx}, {plan.reg.name}, vl);"
+    return f"{decl}{reg.name} = {_mem_call('l', plan)};"
 
 
 def _op_stmt(op: OpInstance, i: int, scalar_args: dict, declared: set[int]) -> str:
@@ -817,7 +757,7 @@ def _op_stmt(op: OpInstance, i: int, scalar_args: dict, declared: set[int]) -> s
 
 def emit_case(ir: CaseIR, mode: str) -> ProgramCase:
     rng = random.Random(f"sched:{ir.seed}:{mode}")
-    schedule = build_schedule(ir.P, ir.S, ir.ops, ir.seq_len, mode, rng)
+    schedule = build_schedule(ir.P, ir.S, mode, rng)
 
     uses_float_scalar = any(
         isinstance(a, ScalarValue) and a.kind == "float"
@@ -879,7 +819,7 @@ def emit_case(ir: CaseIR, mode: str) -> ProgramCase:
             w(f"        {_load_stmt(plan, declared)}")
         elif item.kind == "store":
             plan = ir.store_plans[ir.S[item.op_index][item.intra_index].id]
-            w(f"        {_store_stmt(plan)}")
+            w(f"        {_mem_call('s', plan)};")
         else:
             w(f"        {_op_stmt(ir.ops[item.op_index], item.op_index, ir.scalar_args, declared)}")
 

@@ -114,23 +114,38 @@ def _fill(template: list[str], **subs) -> list[str]:
     return [t.format(**subs) for t in template]
 
 
-def _run(cmd: list[str], timeout: float, cwd=None):
+def _run(cmd: list[str], timeout: float):
+    """(returncode or None on timeout, stdout, stderr, timed out) as bytes;
+    any output, even partial or not UTF-8, is kept."""
     try:
-        proc = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=timeout, cwd=cwd
-        )
+        proc = subprocess.run(cmd, capture_output=True, timeout=timeout)
         return proc.returncode, proc.stdout, proc.stderr, False
     except subprocess.TimeoutExpired as e:
-        return None, e.stdout or "", e.stderr or "", True
+        return None, e.stdout or b"", e.stderr or b"", True
 
 
-def run_case(case, configs: list[CompilerConfig], workdir: str | Path) -> list[RunOutcome]:
-    """One outcome per (config, opt level) for one program variant."""
-    check_toolchain(configs)
+def _stdout(b: bytes) -> str:
+    # lossless, so distinct outputs still compare unequal
+    return b.decode("utf-8", errors="surrogateescape")
+
+
+def _diag(b: bytes) -> str:
+    return b.decode("utf-8", errors="replace").strip()
+
+
+def run_case(case, configs: list[CompilerConfig], workdir: str | Path,
+             src: str | Path | None = None) -> list[RunOutcome]:
+    """One outcome per (config, opt level) for one program variant.
+
+    ``src`` is the source file ``pipeline.write_case`` wrote; without it the
+    source is written into ``workdir``.  Callers run ``check_toolchain`` once
+    before the first job.
+    """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    src = workdir / f"{case.name}.c"
-    src.write_text(case.source, encoding="utf-8")
+    if src is None:
+        src = workdir / f"{case.name}.c"
+        src.write_text(case.source, encoding="utf-8")
 
     outcomes: list[RunOutcome] = []
     for cfg in configs:
@@ -138,7 +153,7 @@ def run_case(case, configs: list[CompilerConfig], workdir: str | Path) -> list[R
             binary = workdir / f"{case.name}.{cfg.label}.{opt.lstrip('-')}"
             cmd = _fill(cfg.compile_cmd, src=str(src), out=str(binary), opt=opt)
             rc, out, err, timed_out = _run(cmd, cfg.compile_timeout)
-            diag = (out + err).strip()
+            diag = _diag(out + err)
             if timed_out:
                 outcomes.append(RunOutcome(case.seed, case.mode, cfg.label, opt,
                                            "timeout", "n/a", "", diag))
@@ -156,13 +171,13 @@ def run_case(case, configs: list[CompilerConfig], workdir: str | Path) -> list[R
             rc, out, err, timed_out = _run(run_cmd, cfg.run_timeout)
             if timed_out:
                 outcomes.append(RunOutcome(case.seed, case.mode, cfg.label, opt,
-                                           "ok", "timeout", "", err.strip()))
+                                           "ok", "timeout", "", _diag(err)))
             elif rc != 0:
                 outcomes.append(RunOutcome(case.seed, case.mode, cfg.label, opt,
-                                           "ok", "crash", out, err.strip()))
+                                           "ok", "crash", _stdout(out), _diag(err)))
             else:
                 outcomes.append(RunOutcome(case.seed, case.mode, cfg.label, opt,
-                                           "ok", "ok", out, ""))
+                                           "ok", "ok", _stdout(out), ""))
     return outcomes
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import build_listing
@@ -13,7 +13,7 @@ from .difftest import CompilerConfig, compare, report, run_case
 from .intrinsics import IntrinsicDef, parse_definitions
 from .oracle import OracleUnsupported, evaluate
 from .scheduling import MODES
-from .selection import SelectionError, filter_candidates
+from .selection import filter_candidates
 
 
 class SelfCheckError(AssertionError):
@@ -24,7 +24,6 @@ class SelfCheckError(AssertionError):
 class RunConfig:
     listing: str | None = None  # path; None uses the built-in catalog
     vlen: int = 128
-    elen: int = 64
     ratio_type: str | None = None
     seq_len: object = 10  # int or (lo, hi)
     data_len: object = 10
@@ -42,24 +41,9 @@ class RunConfig:
         return range(lo, hi + 1)
 
 
-class _LazyPools(dict):
-    """Per-ratio candidate pools, filtered on first use and then cached."""
-
-    def __init__(self, defs):
-        super().__init__()
-        self._defs = defs
-
-    def __contains__(self, ratio) -> bool:
-        return True
-
-    def __getitem__(self, ratio):
-        if not super().__contains__(ratio):
-            super().__setitem__(ratio, filter_candidates(self._defs, ratio))
-        return super().__getitem__(ratio)
-
-
 class Generator:
-    """Caches parsed definitions and per-ratio candidate pools."""
+    """The one way to build cases: owns the parsed definitions, the listed
+    names and the per-ratio candidate pools (filtered on first use)."""
 
     def __init__(self, listing_text: str, *, seq_len=10, data_len=10,
                  ratio_type: str | None = None, coin_bias: float = 0.5):
@@ -71,7 +55,7 @@ class Generator:
         self.data_len = data_len
         self.ratio_type = ratio_type
         self.coin_bias = coin_bias
-        self._pools = _LazyPools(self.defs)
+        self._pools: dict[int, list[IntrinsicDef]] = {}
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "Generator":
@@ -82,7 +66,9 @@ class Generator:
         return cls(text, seq_len=cfg.seq_len, data_len=cfg.data_len,
                    ratio_type=cfg.ratio_type, coin_bias=cfg.coin_bias)
 
-    def pool(self, ratio: int):
+    def pool(self, ratio: int) -> list[IntrinsicDef]:
+        if ratio not in self._pools:
+            self._pools[ratio] = filter_candidates(self.defs, ratio)
         return self._pools[ratio]
 
     def build(self, seed: int, **overrides) -> CaseIR:
@@ -93,10 +79,9 @@ class Generator:
             coin_bias=self.coin_bias,
         )
         kw.update(overrides)
-        return build_case(
-            self.defs, seed, pools=self._pools, listed=self.listed,
-            snapshot_extra={"listing_sha256": self.listing_sha}, **kw,
-        )
+        ir = build_case(self.pool, seed, listed=self.listed, **kw)
+        ir.snapshot["listing_sha256"] = self.listing_sha
+        return ir
 
     def case(self, seed: int, mode: str, **overrides) -> ProgramCase:
         return emit_case(self.build(seed, **overrides), mode)
@@ -154,6 +139,6 @@ def fuzz_seed(
         self_check(cases, vlen)
     outcomes = []
     for case in cases:
-        write_case(case, workdir)
-        outcomes.extend(run_case(case, configs, workdir))
+        src, _ = write_case(case, workdir)
+        outcomes.extend(run_case(case, configs, workdir, src))
     return compare(outcomes), outcomes

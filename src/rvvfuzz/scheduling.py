@@ -56,41 +56,42 @@ def derive_prefix_suffix(
     return P, S
 
 
-def _items(P, S, N):
+def _items(P, S):
+    N = len(P)
     ops = [ScheduleItem("op", i) for i in range(N)]
     loads = [[ScheduleItem("load", i, k) for k in range(len(P[i]))] for i in range(N)]
     stores = [[ScheduleItem("store", i, k) for k in range(len(S[i]))] for i in range(N)]
     return ops, loads, stores
 
 
-def schedule_allin(P, S, I, N) -> Schedule:
-    ops, loads, stores = _items(P, S, N)
+def schedule_allin(P, S) -> Schedule:
+    ops, loads, stores = _items(P, S)
     res: list[ScheduleItem] = []
-    for i in range(N):
+    for i in range(len(P)):
         res.extend(loads[i])
     res.extend(ops)
-    for i in range(N):
+    for i in range(len(P)):
         res.extend(stores[i])
     return Schedule(res, "allin")
 
 
-def schedule_unit(P, S, I, N) -> Schedule:
-    ops, loads, stores = _items(P, S, N)
+def schedule_unit(P, S) -> Schedule:
+    ops, loads, stores = _items(P, S)
     res: list[ScheduleItem] = []
-    for i in range(N):
+    for i in range(len(P)):
         res.extend(loads[i])
         res.append(ops[i])
         res.extend(stores[i])
     return Schedule(res, "unit")
 
 
-def schedule_random(P, S, I, N, rng: random.Random) -> Schedule:
+def schedule_random(P, S, rng: random.Random) -> Schedule:
     """Each op lands uniformly after the previous op; prefixes uniformly
     before it and suffixes uniformly after, respecting intra order."""
-    ops, loads, stores = _items(P, S, N)
+    ops, loads, stores = _items(P, S)
     res: list[ScheduleItem] = []
     last_op_pos = -1
-    for i in range(N):
+    for i in range(len(P)):
         op_pos = rng.randint(last_op_pos + 1, len(res))
         res.insert(op_pos, ops[i])
         lo = 0
@@ -108,21 +109,22 @@ def schedule_random(P, S, I, N, rng: random.Random) -> Schedule:
     return Schedule(res, "random")
 
 
-def build_schedule(P, S, I, N, mode: str, rng: random.Random | None = None) -> Schedule:
+def build_schedule(P, S, mode: str, rng: random.Random | None = None) -> Schedule:
     if mode == "allin":
-        return schedule_allin(P, S, I, N)
+        return schedule_allin(P, S)
     if mode == "unit":
-        return schedule_unit(P, S, I, N)
+        return schedule_unit(P, S)
     if mode == "random":
         if rng is None:
             raise ValueError("random scheduling needs an rng")
-        return schedule_random(P, S, I, N, rng)
+        return schedule_random(P, S, rng)
     raise ValueError(f"unknown scheduling mode {mode!r}")
 
 
-def check_constraints(schedule: Schedule, P, S, I, N) -> str | None:
+def check_constraints(schedule: Schedule, P, S) -> str | None:
     """None when the schedule is legal, else a description of the first
     violated ordering pair."""
+    N = len(P)
     items = schedule.items
     want = {("op", i, 0) for i in range(N)}
     want |= {("load", i, k) for i in range(N) for k in range(len(P[i]))}

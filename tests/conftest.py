@@ -1,7 +1,8 @@
 import pytest
 
 from rvvfuzz.catalog import build_listing
-from rvvfuzz.intrinsics import parse_definitions
+from rvvfuzz.oracle import oracle_subset_listing
+from rvvfuzz.pipeline import Generator
 
 
 @pytest.fixture(scope="session")
@@ -10,5 +11,18 @@ def catalog_listing():
 
 
 @pytest.fixture(scope="session")
-def catalog_defs(catalog_listing):
-    return parse_definitions(catalog_listing)
+def catalog_gen(catalog_listing):
+    """Default Generator over the built-in catalog; pools are shared by
+    every test of the session."""
+    return Generator(catalog_listing)
+
+
+@pytest.fixture(scope="session")
+def catalog_defs(catalog_gen):
+    return catalog_gen.defs
+
+
+@pytest.fixture(scope="session")
+def subset_gen():
+    """Default Generator over the reference evaluator's subset."""
+    return Generator(oracle_subset_listing())

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from rvvfuzz.codegen import build_case, emit_case, gen_scalar, _is_nan
+from rvvfuzz.codegen import emit_case, gen_scalar, _is_nan
 from rvvfuzz.coverage import CoverageReport, category_breakdown
 from rvvfuzz.dataflow import OpInstance, allocate, scan_dependencies
 from rvvfuzz.difftest import CompilerConfig, compare, run_case
@@ -53,25 +53,15 @@ def _record(name: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def full_gen(catalog_listing):
-    return Generator(catalog_listing, seq_len=10, data_len=10)
-
-
-@pytest.fixture(scope="module")
-def subset_gen():
-    return Generator(oracle_subset_listing(), seq_len=10, data_len=10)
-
-
-@pytest.fixture(scope="module")
-def coverage_marks(full_gen):
+def coverage_marks(catalog_gen):
     """Name counts over 10^4 generated cases, sampled at 10^2/10^3/10^4."""
-    names = full_gen.listed
-    weights = {d.full_name: d.alias_count for d in full_gen.defs}
+    names = catalog_gen.listed
+    weights = {d.full_name: d.alias_count for d in catalog_gen.defs}
     wsum = sum(weights.values())
     counts = Counter()
     marks = {}
     for seed in range(10_000):
-        case = emit_case(full_gen.build(seed), "allin")
+        case = emit_case(catalog_gen.build(seed), "allin")
         counts.update(t for t in re.findall(r"__riscv_\w+", case.source) if t in names)
         if seed + 1 in (100, 1_000, 10_000):
             cov = sum(min(counts.get(n, 0), w) for n, w in weights.items()) / wsum
@@ -81,7 +71,7 @@ def coverage_marks(full_gen):
     return marks, report
 
 
-def test_criterion_1_coverage_reproduction(coverage_marks, full_gen):
+def test_criterion_1_coverage_reproduction(coverage_marks, catalog_gen):
     marks, _ = coverage_marks
     ok3 = abs(marks[1_000] - 0.3384) <= 0.10
     ok4 = abs(marks[10_000] - 0.6832) <= 0.10
@@ -93,10 +83,10 @@ def test_criterion_1_coverage_reproduction(coverage_marks, full_gen):
     )
 
 
-def test_criterion_2_coverage_ordering(coverage_marks, full_gen):
+def test_criterion_2_coverage_ordering(coverage_marks, catalog_gen):
     marks, report = coverage_marks
     ordered = marks[100] < marks[1_000] < marks[10_000]
-    breakdown = category_breakdown(report, full_gen.defs)
+    breakdown = category_breakdown(report, catalog_gen.defs)
     seg = breakdown["segment load/store"][2]
     minimum = all(seg <= r for fam, (_, _, r) in breakdown.items())
     _record(
@@ -107,7 +97,7 @@ def test_criterion_2_coverage_ordering(coverage_marks, full_gen):
     )
 
 
-def test_criterion_3_scheduling_constraints(full_gen):
+def test_criterion_3_scheduling_constraints(catalog_gen):
     checked = 0
     failures = 0
     ratios = (1, 2, 4, 8, 16, 32, 64)
@@ -115,15 +105,14 @@ def test_criterion_3_scheduling_constraints(full_gen):
         for n in range(1, 21):
             ratio = ratios[(seed + n) % len(ratios)]
             cfg = SelectionConfig(ratio, n, rng_seed=seed)
-            seq = select_sequence(full_gen.pool(ratio), cfg)
+            seq = select_sequence(catalog_gen.pool(ratio), cfg)
             ops = allocate([OpInstance(d) for d in seq],
                            random.Random(f"a:{seed}:{n}"))
             P, S = derive_prefix_suffix(ops)
             for mode in ("allin", "unit", "random"):
-                sch = build_schedule(P, S, ops, n, mode,
-                                     random.Random(f"s:{seed}:{n}:{mode}"))
+                sch = build_schedule(P, S, mode, random.Random(f"s:{seed}:{n}:{mode}"))
                 checked += 1
-                if check_constraints(sch, P, S, ops, n) is not None:
+                if check_constraints(sch, P, S) is not None:
                     failures += 1
 
     # small shapes: every random schedule must be in the enumerated legal set
@@ -140,7 +129,6 @@ def test_criterion_3_scheduling_constraints(full_gen):
                     s_sizes[k % n] += 1
                 P = [["p"] * x for x in p_sizes]
                 S = [["s"] * x for x in s_sizes]
-                I = [None] * n
                 items = [ScheduleItem("op", i) for i in range(n)]
                 items += [ScheduleItem("load", i, k)
                           for i in range(n) for k in range(p_sizes[i])]
@@ -149,11 +137,11 @@ def test_criterion_3_scheduling_constraints(full_gen):
                 legal = {
                     perm
                     for perm in itertools.permutations(items)
-                    if check_constraints(Schedule(list(perm), "x"), P, S, I, n) is None
+                    if check_constraints(Schedule(list(perm), "x"), P, S) is None
                 }
                 for seed in range(60):
                     got = tuple(
-                        build_schedule(P, S, I, n, "random", random.Random(seed)).items
+                        build_schedule(P, S, "random", random.Random(seed)).items
                     )
                     small_checked += 1
                     if got not in legal:
@@ -237,12 +225,12 @@ def test_criterion_6_data_generation_ranges():
     )
 
 
-def test_criterion_7_dependency_scenarios(full_gen):
+def test_criterion_7_dependency_scenarios(catalog_gen):
     want = {"read-read", "read-write", "write-read", "write-write"}
     found = set()
     for seed in range(10_000):
         cfg = SelectionConfig(8, 10, rng_seed=seed)
-        seq = select_sequence(full_gen.pool(8), cfg)
+        seq = select_sequence(catalog_gen.pool(8), cfg)
         ops = allocate([OpInstance(d) for d in seq], random.Random(f"d:{seed}"))
         found |= scan_dependencies(ops)
         if found >= want:

@@ -9,13 +9,12 @@ from rvvfuzz.codegen import (
     CodegenError,
     ScalarValue,
     _is_nan,
-    build_case,
     emit_case,
     gen_scalar,
     nan_squash_bits,
     render_int,
 )
-from rvvfuzz.intrinsics import parse_definitions
+from rvvfuzz.pipeline import Generator
 
 MINIMAL_LISTING = "\n".join(
     [
@@ -33,11 +32,6 @@ INT_LISTING = "\n".join(
         "vint8m1_t __riscv_vadd_vv_i8m1_m(vbool8_t vm, vint8m1_t vs2, vint8m1_t vs1, size_t vl);",
     ]
 )
-
-
-@pytest.fixture(scope="module")
-def full_defs(catalog_defs):
-    return catalog_defs
 
 
 # -- scalar data generation --------------------------------------------------
@@ -111,8 +105,7 @@ def test_render_int_edges():
 # -- program emission --------------------------------------------------------
 
 def test_minimal_case_skeleton():
-    defs = parse_definitions(MINIMAL_LISTING)
-    ir = build_case(defs, 3, seq_len=1, data_len=3, ratio_token="f32m2")
+    ir = Generator(MINIMAL_LISTING).build(3, seq_len=1, data_len=3, ratio_token="f32m2")
     case = emit_case(ir, "unit")
     src = case.source
     assert "__riscv_vsetvl_e" in src
@@ -123,14 +116,14 @@ def test_minimal_case_skeleton():
     assert re.search(r"p_\w+ \+= vl", src)
 
 
-def test_determinism_byte_identical(full_defs):
-    a = emit_case(build_case(full_defs, 42), "random").source
-    b = emit_case(build_case(full_defs, 42), "random").source
+def test_determinism_byte_identical(catalog_gen):
+    a = emit_case(catalog_gen.build(42), "random").source
+    b = emit_case(catalog_gen.build(42), "random").source
     assert a == b
 
 
-def test_modes_share_phase_a(full_defs):
-    ir = build_case(full_defs, 7)
+def test_modes_share_phase_a(catalog_gen):
+    ir = catalog_gen.build(7)
     sources = {m: emit_case(ir, m).source for m in ("allin", "unit", "random")}
     # same arrays and initializers in every variant
     for m in ("unit", "random"):
@@ -142,9 +135,9 @@ def test_modes_share_phase_a(full_defs):
     assert cases[0].manifest == cases[1].manifest == cases[2].manifest
 
 
-def test_load_store_memory_separation(full_defs):
+def test_load_store_memory_separation(catalog_gen):
     for seed in range(30):
-        ir = build_case(full_defs, seed, seq_len=6, data_len=10)
+        ir = catalog_gen.build(seed, seq_len=6, data_len=10)
         case = emit_case(ir, "random")
         load_ptrs = {f"p_{a.name}" for a in ir.arrays if a.role != "store-destination"}
         store_ptrs = {f"p_{a.name}" for a in ir.arrays if a.role == "store-destination"}
@@ -153,7 +146,7 @@ def test_load_store_memory_separation(full_defs):
             stripped = line.strip()
             if stripped.startswith("__riscv_vs"):  # store call statements
                 assert not any(p + "," in stripped or p + ")" in stripped
-                               for p in load_ptrs - store_ptrs) or True
+                               for p in load_ptrs - store_ptrs)
         # loads never name a store-destination pointer
         for line in case.source.splitlines():
             m = re.match(r"\s*(?:\w+ )?vreg_\d+_mem = __riscv_vl\w+\((p_\w+)", line)
@@ -162,9 +155,9 @@ def test_load_store_memory_separation(full_defs):
 
 
 def test_masked_off_positions_not_printed():
-    defs = parse_definitions(INT_LISTING)
+    gen = Generator(INT_LISTING)
     for seed in range(50):
-        ir = build_case(defs, seed, seq_len=2, data_len=6, ratio_token="i8m1")
+        ir = gen.build(seed, seq_len=2, data_len=6, ratio_token="i8m1")
         masked = [
             op for op in ir.ops if op.def_.full_name.endswith("_m")
         ]
@@ -197,15 +190,16 @@ def test_unmasked_chain_fully_defined():
             "vint8m1_t __riscv_vadd_vv_i8m1(vint8m1_t vs2, vint8m1_t vs1, size_t vl);",
         ]
     )
-    defs = parse_definitions(listing)
-    ir = build_case(defs, 11, seq_len=3, data_len=7, ratio_token="i8m1")
-    for arr, flags in ir.state.arrays.items():
-        assert all(flags), arr
+    ir = Generator(listing).build(11, seq_len=3, data_len=7, ratio_token="i8m1")
+    # every position of every store destination is printed
+    stores = [a for a in ir.arrays if a.role == "store-destination"]
+    assert stores
+    assert ir.manifest == [(a.name, i) for a in stores for i in range(a.length)]
 
 
-def test_manifest_matches_prints(full_defs):
+def test_manifest_matches_prints(catalog_gen):
     for seed in (0, 5, 9):
-        ir = build_case(full_defs, seed)
+        ir = catalog_gen.build(seed)
         case = emit_case(ir, "allin")
         printed = re.findall(r'printf\("(\w+)\[(\d+)\]=', case.source)
         expected = [(name, str(idx)) for name, idx in case.manifest]
@@ -214,22 +208,22 @@ def test_manifest_matches_prints(full_defs):
             assert 'printf("none\\n")' in case.source
 
 
-def test_frm_vxrm_from_legal_sets(full_defs):
+def test_frm_vxrm_from_legal_sets(catalog_gen):
     pat_frm = re.compile(r"__RISCV_FRM_(\w+)")
     pat_vxrm = re.compile(r"__RISCV_VXRM_(\w+)")
     for seed in range(15):
-        src = emit_case(build_case(full_defs, seed), "unit").source
+        src = emit_case(catalog_gen.build(seed), "unit").source
         for m in pat_frm.findall(src):
             assert m in ("RNE", "RTZ", "RDN", "RUP", "RMM")
         for m in pat_vxrm.findall(src):
             assert m in ("RNU", "RNE", "RDN", "ROD")
 
 
-def test_slide_offsets_bounded(full_defs):
+def test_slide_offsets_bounded(catalog_gen):
     # emitted slide offsets stay inside [0, data_len]
     pat = re.compile(r"__riscv_vslide(?:up|down)_vx_\w+\(([^;]+)\)")
     for seed in range(200):
-        ir = build_case(full_defs, seed, seq_len=4, data_len=9)
+        ir = catalog_gen.build(seed, seq_len=4, data_len=9)
         src = emit_case(ir, "unit").source
         for args in pat.findall(src):
             parts = [a.strip() for a in args.split(",")]
@@ -237,26 +231,25 @@ def test_slide_offsets_bounded(full_defs):
             assert offset.isdigit() and 0 <= int(offset) <= 9, args
 
 
-def test_initializers_contain_no_nan(full_defs):
+def test_initializers_contain_no_nan(catalog_gen):
     for seed in range(40):
-        ir = build_case(full_defs, seed)
+        ir = catalog_gen.build(seed)
         for arr in ir.arrays:
             if arr.values and arr.vtype.kind == "float":
                 for v in arr.values:
                     assert not _is_nan(v.bits, v.width)
 
 
-def test_seq_and_data_ranges_drawn_deterministically(full_defs):
-    a = build_case(full_defs, 3, seq_len=(1, 20), data_len=(1, 1000))
-    b = build_case(full_defs, 3, seq_len=(1, 20), data_len=(1, 1000))
+def test_seq_and_data_ranges_drawn_deterministically(catalog_gen):
+    a = catalog_gen.build(3, seq_len=(1, 20), data_len=(1, 1000))
+    b = catalog_gen.build(3, seq_len=(1, 20), data_len=(1, 1000))
     assert (a.seq_len, a.data_len, a.type_token) == (b.seq_len, b.data_len, b.type_token)
     assert 1 <= a.seq_len <= 20 and 1 <= a.data_len <= 1000
 
 
-def test_replay_with_pinned_knobs_reproduces(full_defs):
-    a = build_case(full_defs, 17, seq_len=(1, 20), data_len=(1, 50))
-    b = build_case(
-        full_defs, 17,
-        seq_len=a.seq_len, data_len=a.data_len, ratio_token=a.type_token,
+def test_replay_with_pinned_knobs_reproduces(catalog_gen):
+    a = catalog_gen.build(17, seq_len=(1, 20), data_len=(1, 50))
+    b = catalog_gen.build(
+        17, seq_len=a.seq_len, data_len=a.data_len, ratio_token=a.type_token,
     )
     assert emit_case(a, "unit").source == emit_case(b, "unit").source

@@ -13,7 +13,7 @@ from rvvfuzz.dataflow import (
     use_define_violations,
 )
 from rvvfuzz.intrinsics import parse_definitions, parse_prototype
-from rvvfuzz.selection import SelectionConfig, filter_candidates, select_sequence
+from rvvfuzz.selection import SelectionConfig, select_sequence
 
 ADD = parse_prototype(
     "vint8m1_t __riscv_vadd_vv_i8m1(vint8m1_t vs2, vint8m1_t vs1, size_t vl);"
@@ -93,8 +93,8 @@ def test_write_read_dependency_realizable():
 
 
 @pytest.fixture(scope="module")
-def pool(catalog_defs):
-    return filter_candidates(catalog_defs, 8)
+def pool(catalog_gen):
+    return catalog_gen.pool(8)
 
 
 def test_four_scenarios_over_seeds(pool):

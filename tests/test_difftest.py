@@ -180,6 +180,42 @@ def test_compile_timeout_classified(mocks, tmp_path):
     assert verdicts[0].classification == "CompilerCrash"
 
 
+def test_compile_timeout_with_partial_output(mocks, tmp_path):
+    # the timed-out compiler's partial stdout arrives as bytes
+    slow = _script(tmp_path / "cc_partial.sh", "printf 'partial diag'\nexec sleep 5\n")
+    cfg = CompilerConfig("slow", [slow, "{src}", "{out}", "{opt}"], ["-O0"],
+                         compile_timeout=0.5)
+    outs = run_case(StubCase(13, "allin"), [cfg], mocks["dir"] / "w13")
+    assert outs[0].compile_status == "timeout"
+    assert "partial diag" in outs[0].diagnostics
+
+
+def test_non_utf8_stdout_compared_losslessly(mocks, tmp_path):
+    def emits(name, octal):
+        binary = _script(tmp_path / f"{name}.bin", f"printf '{octal}'\n")
+        return _script(tmp_path / f"{name}.sh", f'cp "{binary}" "$2"\n')
+
+    cfgs = [_cfg("a", emits("cc_fffe", "\\377\\376"), opts=("-O0",)),
+            _cfg("b", emits("cc_fffd", "\\377\\375"), opts=("-O0",))]
+    outs = run_case(StubCase(14, "allin"), cfgs, mocks["dir"] / "w14")
+    by_label = {o.compiler: o for o in outs}
+    assert [(o.compile_status, o.run_status) for o in outs] == [("ok", "ok")] * 2
+    assert isinstance(by_label["a"].stdout, str)
+    assert by_label["a"].stdout.encode("utf-8", "surrogateescape") == b"\xff\xfe"
+    verdicts = compare(outs)
+    assert [(v.classification, v.strategy) for v in verdicts] == [
+        ("WrongResult", "cross-compiler")]
+
+
+def test_run_case_uses_given_source(mocks, tmp_path):
+    src = tmp_path / "written.c"
+    src.write_text("int main(void){return 0;}\n")
+    cfg = _cfg("cc", mocks["fixed"], opts=("-O0",))
+    outs = run_case(StubCase(15, "allin"), [cfg], mocks["dir"] / "w15", src)
+    assert outs[0].run_status == "ok"
+    assert not (mocks["dir"] / "w15" / "case_15_allin.c").exists()
+
+
 def test_job_isolation(mocks, tmp_path):
     # a hanging compiler never poisons the other config's outcome
     slow = _script(tmp_path / "cc_hang.sh", "sleep 5\n")

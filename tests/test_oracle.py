@@ -4,15 +4,10 @@ from rvvfuzz.codegen import (
     ScalarValue,
     analyze_agnostic,
     _build_manifest,
-    build_case,
     emit_case,
 )
-from rvvfuzz.intrinsics import parse_definitions
-from rvvfuzz.oracle import (
-    OracleUnsupported,
-    evaluate,
-    oracle_subset_listing,
-)
+from rvvfuzz.oracle import OracleUnsupported, evaluate
+from rvvfuzz.pipeline import Generator
 
 ADD32_LISTING = "\n".join(
     [
@@ -33,13 +28,12 @@ MASKED_ADD_LISTING = "\n".join(
 
 def _refresh_manifest(ir):
     ir.state = analyze_agnostic(ir.ops, ir.load_plans, ir.scalar_args, ir.data_len)
-    ir.state.arrays.clear()
-    ir.manifest = _build_manifest(ir.ops, ir.S, ir.store_plans, ir.state)
+    ir.manifest = _build_manifest(ir.S, ir.store_plans, ir.state)
 
 
 def test_elementwise_add_prints_sums():
-    defs = parse_definitions(ADD32_LISTING)
-    ir = build_case(defs, 0, seq_len=1, data_len=3, ratio_token="i32m1", coin_bias=1.0)
+    ir = Generator(ADD32_LISTING).build(0, seq_len=1, data_len=3, ratio_token="i32m1",
+                                        coin_bias=1.0)
     srcs = [a for a in ir.arrays if a.role == "load-source"]
     assert len(srcs) == 2
     srcs[0].values = [ScalarValue("int", 32, v) for v in (1, 2, 3)]
@@ -54,10 +48,9 @@ def test_elementwise_add_prints_sums():
 
 
 def test_masked_add_hides_masked_off_position():
-    defs = parse_definitions(MASKED_ADD_LISTING)
+    gen = Generator(MASKED_ADD_LISTING)
     for seed in range(64):
-        ir = build_case(defs, seed, seq_len=1, data_len=3, ratio_token="i8m1",
-                        coin_bias=1.0)
+        ir = gen.build(seed, seq_len=1, data_len=3, ratio_token="i8m1", coin_bias=1.0)
         masks = [a for a in ir.arrays if a.role == "mask-source"]
         if not masks:
             continue
@@ -73,19 +66,14 @@ def test_masked_add_hides_masked_off_position():
     pytest.fail("no masked case produced")
 
 
-@pytest.fixture(scope="module")
-def subset_defs():
-    return parse_definitions(oracle_subset_listing())
-
-
-def test_subset_listing_is_self_contained(subset_defs):
-    cats = {d.category for d in subset_defs}
+def test_subset_listing_is_self_contained(subset_gen):
+    cats = {d.category for d in subset_gen.defs}
     assert cats == {"Load", "Store", "Operation"}
 
 
-def test_emi_equivalence_across_modes(subset_defs):
+def test_emi_equivalence_across_modes(subset_gen):
     for seed in range(100):
-        ir = build_case(subset_defs, seed, seq_len=5, data_len=10)
+        ir = subset_gen.build(seed, seq_len=5, data_len=10)
         outs = {
             mode: evaluate(emit_case(ir, mode), vlen=128)
             for mode in ("allin", "unit", "random")
@@ -93,27 +81,27 @@ def test_emi_equivalence_across_modes(subset_defs):
         assert outs["allin"] == outs["unit"] == outs["random"], seed
 
 
-def test_poison_independence(subset_defs):
+def test_poison_independence(subset_gen):
     for seed in range(100):
-        ir = build_case(subset_defs, seed, seq_len=5, data_len=10)
+        ir = subset_gen.build(seed, seq_len=5, data_len=10)
         case = emit_case(ir, "random")
         a = evaluate(case, vlen=128, poison_byte=0x00)
         b = evaluate(case, vlen=128, poison_byte=0xFF)
         assert a == b, seed
 
 
-def test_vlen_independence(subset_defs):
+def test_vlen_independence(subset_gen):
     for seed in range(60):
-        ir = build_case(subset_defs, seed, seq_len=4, data_len=10)
+        ir = subset_gen.build(seed, seq_len=4, data_len=10)
         case = emit_case(ir, "unit")
         outs = {v: evaluate(case, vlen=v) for v in (64, 128, 256, 512)}
         assert len(set(outs.values())) == 1, seed
 
 
-def test_unsupported_detected(catalog_defs):
+def test_unsupported_detected(catalog_gen):
     hit = 0
     for seed in range(40):
-        ir = build_case(catalog_defs, seed, seq_len=6)
+        ir = catalog_gen.build(seed, seq_len=6)
         case = emit_case(ir, "unit")
         try:
             evaluate(case, vlen=128)
@@ -123,10 +111,9 @@ def test_unsupported_detected(catalog_defs):
 
 
 def test_fully_masked_prints_sentinel():
-    defs = parse_definitions(MASKED_ADD_LISTING)
+    gen = Generator(MASKED_ADD_LISTING)
     for seed in range(64):
-        ir = build_case(defs, seed, seq_len=1, data_len=3, ratio_token="i8m1",
-                        coin_bias=1.0)
+        ir = gen.build(seed, seq_len=1, data_len=3, ratio_token="i8m1", coin_bias=1.0)
         masks = [a for a in ir.arrays if a.role == "mask-source"]
         if not masks:
             continue
@@ -140,10 +127,10 @@ def test_fully_masked_prints_sentinel():
     pytest.fail("no masked case produced")
 
 
-def test_strip_mining_multiple_iterations(subset_defs):
+def test_strip_mining_multiple_iterations(subset_gen):
     # data_len larger than vlmax forces several iterations at VLEN 64
     for seed in range(30):
-        ir = build_case(subset_defs, seed, seq_len=3, data_len=50)
+        ir = subset_gen.build(seed, seq_len=3, data_len=50)
         case = emit_case(ir, "unit")
         a = evaluate(case, vlen=64)
         b = evaluate(case, vlen=512)
