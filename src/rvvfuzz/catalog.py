@@ -14,11 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .types import (
+    EMUL_TOKENS,
     SEWS,
     VectorType,
     all_bool_types,
     all_tuple_types,
     all_value_types,
+    type_at_ratio,
 )
 
 VALUE_TYPES = all_value_types()
@@ -36,16 +38,11 @@ def _narrow(types):
 
 def _index_eews(t: VectorType) -> list[int]:
     """EEWs whose index-vector EMUL stays in [1/8, 8] for this data type."""
-    out = []
-    for eew in SEWS:
-        emul = Fraction(eew, t.ratio)
-        if Fraction(1, 8) <= emul <= 8:
-            out.append(eew)
-    return out
+    return [eew for eew in SEWS if (eew, t.ratio) in EMUL_TOKENS]
 
 
 def _index_type(t: VectorType, eew: int) -> VectorType:
-    return VectorType("uint", eew, Fraction(eew, t.ratio))
+    return type_at_ratio("uint", eew, t.ratio)
 
 
 def _shift_type(t: VectorType) -> VectorType:
@@ -232,9 +229,10 @@ def _int_arith(c: Catalog) -> None:
     for name, types in (("vzext", UINT_TYPES), ("vsext", INT_TYPES)):
         for frac in (2, 4, 8):
             for dst in types:
-                if dst.sew // frac < 8 or dst.lmul / frac < Fraction(1, 8):
+                # the source has SEW / frac at the same ratio
+                if (dst.sew // frac, dst.ratio) not in EMUL_TOKENS:
                     continue
-                src = VectorType(dst.kind, dst.sew // frac, dst.lmul / frac)
+                src = type_at_ratio(dst.kind, dst.sew // frac, dst.ratio)
                 c.op(f"{name}_vf{frac}_{dst.token}", dst,
                      [f"{src.cname} vs2", "size_t vl"])
 
@@ -691,9 +689,8 @@ def _permutation(c: Catalog) -> None:
              [f"{t.cname} vs2", f"{idx.cname} vs1", "size_t vl"])
         c.op(f"vrgather_vx_{t.token}", t,
              [f"{t.cname} vs2", "size_t rs1", "size_t vl"])
-        emul16 = Fraction(16, t.ratio)
-        if Fraction(1, 8) <= emul16 <= 8:
-            i16 = VectorType("uint", 16, emul16)
+        if (16, t.ratio) in EMUL_TOKENS:
+            i16 = _index_type(t, 16)
             c.op(f"vrgatherei16_vv_{t.token}", t,
                  [f"{t.cname} vs2", f"{i16.cname} vs1", "size_t vl"])
         c.op(f"vcompress_vm_{t.token}", t,

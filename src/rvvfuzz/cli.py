@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from .catalog import build_listing
 from .coverage import category_breakdown, compute_coverage, family_of, format_report
 from .difftest import (
     HarnessConfigError,
+    Verdict,
     check_toolchain,
     compare,
     load_compiler_configs,
@@ -20,7 +22,7 @@ from .difftest import (
     run_case,
 )
 from .intrinsics import ParseError
-from .pipeline import Generator, RunConfig, fuzz_seed, write_case
+from .pipeline import Generator, RunConfig, SelfCheckError, fuzz_seed, write_case
 from .scheduling import MODES
 from .selection import SelectionError
 from .types import TypeError_
@@ -129,10 +131,18 @@ def cmd_fuzz(args) -> int:
     seeds = list(cfg.seed_range())
 
     def one(seed: int):
-        return fuzz_seed(
-            gen, seed, configs, out_dir / f"seed_{seed}",
-            modes=cfg.modes, vlen=cfg.vlen, do_self_check=cfg.self_check,
-        )
+        try:
+            return fuzz_seed(
+                gen, seed, configs, out_dir / f"seed_{seed}",
+                modes=cfg.modes, vlen=cfg.vlen, do_self_check=cfg.self_check,
+            )
+        except SelfCheckError:
+            raise  # a generator bug: stop the campaign
+        except Exception as e:
+            # one bad seed is a finding, never the end of the campaign
+            print(f"seed {seed}: harness error", file=sys.stderr)
+            traceback.print_exc()
+            return [Verdict(seed, "HarnessError", "", (), f"{type(e).__name__}: {e}")], []
 
     all_verdicts = []
     jobs = max(1, args.jobs)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .dataflow import OpInstance, SynthIndex, VReg, allocate
@@ -41,7 +40,14 @@ from .semantics import (
     UNINITIALIZED,
     semantic_class,
 )
-from .types import VectorType, all_value_types, lmul_token
+from .types import (
+    BOOL_RATIOS,
+    EMUL_TOKENS,
+    VectorType,
+    all_value_types,
+    lmul_token,
+    type_at_ratio,
+)
 
 VXRM_NAMES = ("__RISCV_VXRM_RNU", "__RISCV_VXRM_RNE",
               "__RISCV_VXRM_RDN", "__RISCV_VXRM_ROD")
@@ -160,8 +166,10 @@ class MemPlan:
     index_eew: int | None = None
 
 
-def _mask_source_type(ratio: int) -> VectorType:
-    return VectorType("int", 8, Fraction(8, ratio))
+# the byte array a mask is loaded from: i8 at the mask's ratio
+_MASK_SOURCE_TYPES = {r: type_at_ratio("int", 8, r) for r in BOOL_RATIOS}
+# (eew, ratio) -> the index-vector token, for every legal EMUL
+_INDEX_TOKENS = {(eew, r): type_at_ratio("uint", eew, r).token for eew, r in EMUL_TOKENS}
 
 
 def _legal_index_eews(t: VectorType, data_len: int) -> list[int]:
@@ -169,8 +177,7 @@ def _legal_index_eews(t: VectorType, data_len: int) -> list[int]:
     out = []
     step = (t.sew // 8) * t.nf
     for eew in (8, 16, 32, 64):
-        emul = Fraction(eew, t.ratio)
-        if not Fraction(1, 8) <= emul <= 8:
+        if (eew, t.ratio) not in _INDEX_TOKENS:
             continue
         if (data_len - 1) * step > (1 << eew) - 1:
             continue
@@ -247,6 +254,12 @@ class ProgramCase:
 
 
 _VALUE_TOKENS = [t.token for t in all_value_types()]
+# ratio -> the vsetvl shapes ("e{sew}{lmul}") of the int types at that ratio
+_VSETVL_TOKENS = {
+    r: [f"e{t.sew}{lmul_token(t.lmul)}" for t in all_value_types()
+        if t.kind == "int" and t.ratio == r]
+    for r in BOOL_RATIOS
+}
 
 
 def _draw(rng: random.Random, spec_val) -> int:
@@ -279,9 +292,8 @@ def build_case(
     ratio = cfg.common_ratio
 
     # the loop's vsetvl may use any shape with the common ratio
-    vt_choices = [t for t in all_value_types() if t.kind == "int" and t.ratio == ratio]
-    vt = vt_choices[rng.randrange(len(vt_choices))]
-    vsetvl_token = f"e{vt.sew}{lmul_token(vt.lmul)}"
+    vsetvl_choices = _VSETVL_TOKENS[ratio]
+    vsetvl_token = vsetvl_choices[rng.randrange(len(vsetvl_choices))]
 
     seq = select_sequence(pool(ratio), cfg, rng)
     ops = allocate([OpInstance(d) for d in seq], rng, coin_bias)
@@ -295,7 +307,7 @@ def build_case(
         for reg in P[i]:
             t = reg.vtype
             if t.is_bool:
-                src_t = _mask_source_type(t.ratio)
+                src_t = _MASK_SOURCE_TYPES[t.ratio]
                 arr = ArrayDecl(f"maskin_{reg.id}", src_t, "mask-source", dlen)
                 load_plans[reg.id] = MemPlan(reg, arr, "mask")
             else:
@@ -385,7 +397,9 @@ def _group_index(d: IntrinsicDef, rng: random.Random) -> int:
         return rng.randrange(tuples[0].nf)
     big = max(vts, key=lambda t: t.lmul)
     small = min(vts, key=lambda t: t.lmul)
-    return rng.randrange(max(1, int(big.lmul / small.lmul)))
+    groups = (big.lmul.numerator * small.lmul.denominator
+              // (big.lmul.denominator * small.lmul.numerator))
+    return rng.randrange(max(1, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +702,7 @@ def _array_base(arr: ArrayDecl) -> str:
 
 
 def _index_expr(t: VectorType, eew: int, step: int) -> str:
-    emul = Fraction(eew, t.ratio)
-    itok = f"u{eew}{lmul_token(emul)}"
+    itok = _INDEX_TOKENS[eew, t.ratio]
     vid = f"__riscv_vid_v_{itok}(vl)"
     if step == 1:
         return vid

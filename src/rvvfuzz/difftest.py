@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,9 @@ DEFAULT_CRASH_SIGNATURES = (
     "UNREACHABLE executed",
 )
 
-CLASSIFICATIONS = ("Pass", "CompileError", "CompilerCrash", "RuntimeCrash", "WrongResult")
+# HarnessError: the seed's generation or jobs raised, so nothing was compared
+CLASSIFICATIONS = ("Pass", "CompileError", "CompilerCrash", "RuntimeCrash",
+                   "WrongResult", "HarnessError")
 STRATEGIES = ("cross-compiler", "cross-optimization", "cross-variant")
 
 
@@ -104,6 +107,7 @@ class Verdict:
     classification: str
     strategy: str  # one of STRATEGIES, or "" for Pass/CompileError
     witnesses: tuple[str, ...]  # "compiler:opt:mode" labels
+    detail: str = ""  # the exception behind a HarnessError
 
     @property
     def signature(self) -> str:
@@ -116,12 +120,30 @@ def _fill(template: list[str], **subs) -> list[str]:
 
 def _run(cmd: list[str], timeout: float):
     """(returncode or None on timeout, stdout, stderr, timed out) as bytes;
-    any output, even partial or not UTF-8, is kept."""
+    any output, even partial or not UTF-8, is kept.
+
+    The job leads its own process group; on a timeout (or an interrupt) the
+    whole group is killed, so no grandchild outlives the job.
+    """
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+            return proc.returncode, out, err, False
+        except subprocess.TimeoutExpired as e:
+            _kill_group(proc.pid)
+            proc.wait()
+            return None, e.stdout or b"", e.stderr or b"", True
+        except BaseException:
+            _kill_group(proc.pid)
+            raise
+
+
+def _kill_group(pgid: int) -> None:
     try:
-        proc = subprocess.run(cmd, capture_output=True, timeout=timeout)
-        return proc.returncode, proc.stdout, proc.stderr, False
-    except subprocess.TimeoutExpired as e:
-        return None, e.stdout or b"", e.stderr or b"", True
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 def _stdout(b: bytes) -> str:
@@ -256,6 +278,8 @@ def report(verdicts: list[Verdict], sink, artifacts: dict | None = None) -> dict
             "strategy": v.strategy,
             "witnesses": list(v.witnesses),
         }
+        if v.detail:
+            rec["detail"] = v.detail
         if artifacts and v.seed in artifacts:
             rec["artifacts"] = artifacts[v.seed]
         sink.write(json.dumps(rec, sort_keys=True) + "\n")

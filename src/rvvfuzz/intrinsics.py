@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 
-from .types import VectorType, TypeError_, ratio_of
+from .types import VectorType, TypeError_
 
 PREFIX = "__riscv_"
 
@@ -132,24 +133,23 @@ class IntrinsicDef:
     params: tuple[Param, ...]
     category: str = "Operation"
     alias_count: int = 1
+    # derived from name_parts once: the generator reads them per operand
+    stem: str = field(init=False, repr=False, compare=False)
+    policy: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.stem = self.name_parts.mnemonic.split("_", 1)[0]
+        # the mask/tail policy token alone, without any rounding marker
+        last = self.name_parts.policy.split("_")[-1]
+        self.policy = last if last in POLICY_TOKENS else ""
 
     @property
     def mnemonic(self) -> str:
         return self.name_parts.mnemonic
 
     @property
-    def stem(self) -> str:
-        return self.mnemonic.split("_", 1)[0]
-
-    @property
     def is_masked(self) -> bool:
-        return self.name_parts.policy.split("_")[-1] in ("m", "tum", "tumu", "mu")
-
-    @property
-    def policy(self) -> str:
-        """The mask/tail policy token alone, without any rounding marker."""
-        last = self.name_parts.policy.split("_")[-1]
-        return last if last in POLICY_TOKENS else ""
+        return self.policy in ("m", "tum", "tumu", "mu")
 
     @property
     def return_kind(self) -> str:
@@ -229,6 +229,7 @@ _PARAM_RE = re.compile(r"^(?P<ctype>.+?[\s*])(?P<name>[A-Za-z_]\w*)$")
 _INDEXED_MEM_RE = re.compile(r"^v[ls][uo]x(?:seg[2-8])?ei\d+$")
 
 
+@cache
 def _vtype_of_ctype(ctype: str) -> VectorType | None:
     t = ctype.replace("const", "").replace("*", "").strip()
     if t.startswith("v") and t.endswith("_t"):

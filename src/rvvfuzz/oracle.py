@@ -14,6 +14,7 @@ poison exposes any agnostic value that reaches a print.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .codegen import CaseIR, ProgramCase, ScalarValue, nan_squash_bits
 from .dataflow import VReg
@@ -308,9 +309,12 @@ def _lane_value(stem, d, vec_args, scalar, i, sew):
     return int(table[stem]), ok
 
 
+@cache
 def oracle_subset_listing() -> str:
     """A listing restricted to evaluator-supported families; the smoke
-    profile used by the equivalence and well-definedness suites."""
+    profile used by the equivalence and well-definedness suites.  The text
+    is built once per process; the parsed catalog it is filtered from is
+    not kept."""
     from .catalog import build_listing
     from .intrinsics import parse_prototype
 

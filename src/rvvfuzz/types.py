@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 
 SEWS = (8, 16, 32, 64)
 FLOAT_SEWS = (16, 32, 64)
@@ -29,6 +30,16 @@ _LMUL_TO_TOKEN = {
 }
 _TOKEN_TO_LMUL = {v: k for k, v in _LMUL_TO_TOKEN.items()}
 
+# LMUL token of EMUL = EEW / ratio for every (EEW, ratio) whose EMUL is legal
+# (1/8..8): the register group of an EEW-wide index or mask-source operand
+# sharing its ratio with the data it addresses
+EMUL_TOKENS = {
+    (eew, r): _LMUL_TO_TOKEN[Fraction(eew, r)]
+    for eew in SEWS
+    for r in BOOL_RATIOS
+    if r <= 8 * eew and eew <= 8 * r
+}
+
 _KIND_PREFIX = {"int": "i", "uint": "u", "float": "f"}
 _PREFIX_KIND = {v: k for k, v in _KIND_PREFIX.items()}
 
@@ -45,6 +56,12 @@ _SCALAR_CTYPE = {
     ("float", 32): "float",
     ("float", 64): "double",
 }
+
+
+def _whole_ratio(sew: int, lmul: Fraction) -> int | None:
+    """SEW / LMUL in integer arithmetic; None when it is not a whole number."""
+    num, den = lmul.numerator, lmul.denominator
+    return None if sew * den % num else sew * den // num
 
 
 class TypeError_(ValueError):
@@ -80,11 +97,11 @@ class VectorType:
             raise TypeError_(f"no {self.sew}-bit float vector type")
         if self.lmul not in LMULS:
             raise TypeError_(f"illegal LMUL {self.lmul}")
-        ratio = Fraction(self.sew) / self.lmul
-        if ratio.denominator != 1 or not 1 <= ratio <= 64:
+        ratio = _whole_ratio(self.sew, self.lmul)
+        if ratio is None or not 1 <= ratio <= 64:
             raise TypeError_(f"illegal SEW/LMUL combination {self.sew}/{self.lmul}")
         if self.nf != 1:
-            if not 2 <= self.nf <= 8 or self.lmul * self.nf > 8:
+            if not 2 <= self.nf <= 8 or self.nf * self.lmul.numerator > 8 * self.lmul.denominator:
                 raise TypeError_(f"illegal tuple: lmul={self.lmul} nf={self.nf}")
 
     @property
@@ -95,20 +112,22 @@ class VectorType:
     def is_tuple(self) -> bool:
         return self.nf > 1
 
-    @property
+    # ratio, token, cname and mask_type are computed once per instance; the
+    # cached values live in the instance __dict__, outside equality and hash
+    @cached_property
     def ratio(self) -> int:
         if self.is_bool:
             return self.bool_ratio  # type: ignore[return-value]
-        return int(Fraction(self.sew) / self.lmul)
+        return _whole_ratio(self.sew, self.lmul)
 
-    @property
+    @cached_property
     def token(self) -> str:
         if self.is_bool:
             return f"b{self.bool_ratio}"
         base = f"{_KIND_PREFIX[self.kind]}{self.sew}{_LMUL_TO_TOKEN[self.lmul]}"
         return base if self.nf == 1 else f"{base}x{self.nf}"
 
-    @property
+    @cached_property
     def cname(self) -> str:
         """The C type name, e.g. vint8m1_t, vbool8_t, vint8m1x2_t."""
         if self.is_bool:
@@ -129,57 +148,78 @@ class VectorType:
         """Same kind/SEW/LMUL with a different tuple length."""
         return VectorType(self.kind, self.sew, self.lmul, nf=nf)
 
-    @property
+    @cached_property
     def mask_type(self) -> "VectorType":
         """The bool type governing this type's lanes (same ratio)."""
-        return VectorType("bool", bool_ratio=self.ratio)
+        return VectorType.from_token(f"b{self.ratio}")
 
     @classmethod
     def from_token(cls, token: str) -> "VectorType":
-        sew, lmul, nf = None, None, 1
-        t = token
-        if t.startswith("b"):
-            try:
-                ratio = int(t[1:])
-            except ValueError:
-                raise TypeError_(f"malformed type token {token!r}") from None
-            return cls("bool", bool_ratio=ratio)
-        if t and t[0] in _PREFIX_KIND:
-            kind = _PREFIX_KIND[t[0]]
-            t = t[1:]
-        else:
-            raise TypeError_(f"malformed type token {token!r}")
-        if "x" in t:
-            t, _, nf_s = t.partition("x")
-            try:
-                nf = int(nf_s)
-            except ValueError:
-                raise TypeError_(f"malformed type token {token!r}") from None
-        m_at = t.find("m")
-        if m_at < 0:
-            raise TypeError_(f"malformed type token {token!r}")
-        try:
-            sew = int(t[:m_at])
-        except ValueError:
-            raise TypeError_(f"malformed type token {token!r}") from None
-        lmul = _TOKEN_TO_LMUL.get(t[m_at:])
-        if lmul is None:
-            raise TypeError_(f"malformed type token {token!r}")
-        return cls(kind, sew, lmul, nf=nf)
+        """The type a token names; every call with one token returns the
+        same object."""
+        return _from_token(token)
 
     @classmethod
     def from_cname(cls, cname: str) -> "VectorType":
-        if not (cname.startswith("v") and cname.endswith("_t")):
-            raise TypeError_(f"not a vector C type: {cname!r}")
-        body = cname[1:-2]
-        for stem, kind in (("int", "i"), ("uint", "u"), ("float", "f"), ("bool", "b")):
-            if body.startswith(stem):
-                return cls.from_token(kind + body[len(stem):])
+        """The type a C type name names, shared with ``from_token``."""
+        return _from_cname(cname)
+
+
+@cache
+def _from_token(token: str) -> VectorType:
+    sew, lmul, nf = None, None, 1
+    t = token
+    if t.startswith("b"):
+        try:
+            ratio = int(t[1:])
+        except ValueError:
+            raise TypeError_(f"malformed type token {token!r}") from None
+        return VectorType("bool", bool_ratio=ratio)
+    if t and t[0] in _PREFIX_KIND:
+        kind = _PREFIX_KIND[t[0]]
+        t = t[1:]
+    else:
+        raise TypeError_(f"malformed type token {token!r}")
+    if "x" in t:
+        t, _, nf_s = t.partition("x")
+        try:
+            nf = int(nf_s)
+        except ValueError:
+            raise TypeError_(f"malformed type token {token!r}") from None
+    m_at = t.find("m")
+    if m_at < 0:
+        raise TypeError_(f"malformed type token {token!r}")
+    try:
+        sew = int(t[:m_at])
+    except ValueError:
+        raise TypeError_(f"malformed type token {token!r}") from None
+    lmul = _TOKEN_TO_LMUL.get(t[m_at:])
+    if lmul is None:
+        raise TypeError_(f"malformed type token {token!r}")
+    return VectorType(kind, sew, lmul, nf=nf)
+
+
+@cache
+def _from_cname(cname: str) -> VectorType:
+    if not (cname.startswith("v") and cname.endswith("_t")):
         raise TypeError_(f"not a vector C type: {cname!r}")
+    body = cname[1:-2]
+    for stem, kind in (("int", "i"), ("uint", "u"), ("float", "f"), ("bool", "b")):
+        if body.startswith(stem):
+            return _from_token(kind + body[len(stem):])
+    raise TypeError_(f"not a vector C type: {cname!r}")
+
+
+def type_at_ratio(kind: str, sew: int, ratio: int) -> VectorType:
+    """The kind/SEW type with this SEW/LMUL ratio, i.e. LMUL = EMUL = SEW / ratio."""
+    emul = EMUL_TOKENS.get((sew, ratio))
+    if emul is None or kind not in _KIND_PREFIX:
+        raise TypeError_(f"no {kind}{sew} vector type at ratio {ratio}")
+    return VectorType.from_token(f"{_KIND_PREFIX[kind]}{sew}{emul}")
 
 
 def lmul_token(lmul: Fraction) -> str:
-    return _LMUL_TO_TOKEN[Fraction(lmul)]
+    return _LMUL_TO_TOKEN[lmul]
 
 
 def sew_lmul_of_token(token: str) -> tuple[int, Fraction]:
@@ -208,11 +248,10 @@ def ratio_of(t: "VectorType | str") -> int:
         return t.ratio
     if t.startswith("b"):
         return VectorType.from_token(t).ratio
-    sew, lmul = sew_lmul_of_token(t)
-    r = Fraction(sew) / lmul
-    if r.denominator != 1 or not 1 <= r <= 64:
+    r = _whole_ratio(*sew_lmul_of_token(t))
+    if r is None or not 1 <= r <= 64:
         raise TypeError_(f"illegal SEW/LMUL combination in {t!r}")
-    return int(r)
+    return r
 
 
 @dataclass(frozen=True)
@@ -246,26 +285,32 @@ class MachineParams:
 
 def all_value_types(elen: int = 64) -> list[VectorType]:
     """Every legal non-bool, non-tuple vector type under the given ELEN."""
+    return list(_value_types(elen))
+
+
+@cache
+def _value_types(elen: int) -> tuple[VectorType, ...]:
     out = []
     for kind in ("int", "uint", "float"):
         sews = FLOAT_SEWS if kind == "float" else SEWS
         for sew in sews:
             for lmul in LMULS:
-                r = Fraction(sew) / lmul
-                if r.denominator == 1 and 1 <= r <= elen:
-                    out.append(VectorType(kind, sew, lmul))
-    return out
+                r = _whole_ratio(sew, lmul)
+                if r is not None and 1 <= r <= elen:
+                    out.append(VectorType.from_token(
+                        f"{_KIND_PREFIX[kind]}{sew}{_LMUL_TO_TOKEN[lmul]}"))
+    return tuple(out)
 
 
 def all_tuple_types(elen: int = 64) -> list[VectorType]:
     """Every legal tuple (segment) type: LMUL * NF <= 8, NF in 2..8."""
     out = []
-    for base in all_value_types(elen):
+    for base in _value_types(elen):
         for nf in range(2, 9):
-            if base.lmul * nf <= 8:
-                out.append(base.scalar(nf=nf))
+            if nf * base.lmul.numerator <= 8 * base.lmul.denominator:
+                out.append(VectorType.from_token(f"{base.token}x{nf}"))
     return out
 
 
 def all_bool_types() -> list[VectorType]:
-    return [VectorType("bool", bool_ratio=r) for r in BOOL_RATIOS]
+    return [VectorType.from_token(f"b{r}") for r in BOOL_RATIOS]

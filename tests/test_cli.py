@@ -106,6 +106,42 @@ def test_fuzz_detects_wrong_result(tmp_path, listing_file):
     assert wrong and all(r["strategy"] == "cross-optimization" for r in wrong)
 
 
+def test_fuzz_seed_that_raises_is_a_harness_error(tmp_path, listing_file, monkeypatch):
+    import rvvfuzz.cli
+
+    cc = _mock_cc(
+        tmp_path, "cc_ok.sh",
+        'printf \'#!/bin/sh\\necho X\\n\' > "$2"\nchmod +x "$2"\n',
+    )
+    compilers = _compilers_json(tmp_path, [
+        {"label": "cc", "compile_cmd": [cc, "{src}", "{out}", "{opt}"],
+         "opt_levels": ["-O0"]},
+    ])
+    fuzz_seed = rvvfuzz.cli.fuzz_seed
+
+    def flaky(gen, seed, *args, **kwargs):
+        if seed == 1:
+            raise RuntimeError("injected failure")
+        return fuzz_seed(gen, seed, *args, **kwargs)
+
+    monkeypatch.setattr(rvvfuzz.cli, "fuzz_seed", flaky)
+    report = tmp_path / "rep.jsonl"
+    rc = main([
+        "fuzz", "--listing", listing_file, "--seeds", "0..2",
+        "--ratio-type", "i8m1", "--seq-len", "2", "--data-len", "4",
+        "--out", str(tmp_path / "fz_err"), "--compilers", compilers,
+        "--report", str(report),
+    ])
+    assert rc == 1  # a HarnessError is a finding
+    recs = [json.loads(l) for l in report.read_text().splitlines()]
+    by_seed = {r["seed"]: r for r in recs[:-1]}
+    assert by_seed[0]["classification"] == by_seed[2]["classification"] == "Pass"
+    assert by_seed[1]["classification"] == "HarnessError"
+    assert "injected failure" in by_seed[1]["detail"]
+    counts = recs[-1]["summary"]["counts"]
+    assert counts["Pass"] == 2 and counts["HarnessError"] == 1
+
+
 def test_fuzz_resume_produces_same_records(tmp_path, listing_file):
     cc = _mock_cc(
         tmp_path, "cc2.sh",

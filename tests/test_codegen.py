@@ -253,3 +253,35 @@ def test_replay_with_pinned_knobs_reproduces(catalog_gen):
         17, seq_len=a.seq_len, data_len=a.data_len, ratio_token=a.type_token,
     )
     assert emit_case(a, "unit").source == emit_case(b, "unit").source
+
+
+def test_build_and_emit_construct_no_fraction(catalog_gen, monkeypatch):
+    # the per-seed path runs on interned types and integer ratios
+    import fractions
+
+    import rvvfuzz.codegen
+    import rvvfuzz.types
+
+    made, listed = [], []
+    new_fraction = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new_fraction(cls, *args, **kwargs)
+
+    all_value_types = rvvfuzz.types.all_value_types
+
+    def counting_all_value_types(*args, **kwargs):
+        listed.append(args)
+        return all_value_types(*args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(rvvfuzz.types, "all_value_types", counting_all_value_types)
+    monkeypatch.setattr(rvvfuzz.codegen, "all_value_types", counting_all_value_types)
+    fractions.Fraction(1, 2)  # the counter sees constructions
+    assert made == [(1, 2)]
+    made.clear()
+    for seed in range(50):
+        catalog_gen.cases(seed)
+    assert made == []
+    assert listed == []

@@ -1,6 +1,8 @@
 import json
 import os
+import signal
 import stat
+import time
 from dataclasses import dataclass
 from io import StringIO
 
@@ -188,6 +190,42 @@ def test_compile_timeout_with_partial_output(mocks, tmp_path):
     outs = run_case(StubCase(13, "allin"), [cfg], mocks["dir"] / "w13")
     assert outs[0].compile_status == "timeout"
     assert "partial diag" in outs[0].diagnostics
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid is a running process (a zombie awaiting its reaper counts
+    as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+def test_compile_timeout_kills_grandchild(mocks, tmp_path):
+    # the compiler forks exactly one sleeping grandchild, then hangs
+    pidfile = tmp_path / "grandchild.pid"
+    slow = _script(tmp_path / "cc_forks.sh",
+                   f'sleep 30 &\necho $! > "{pidfile}"\nwait\n')
+    cfg = CompilerConfig("slow", [slow, "{src}", "{out}", "{opt}"], ["-O0"],
+                         compile_timeout=1.0)
+    outs = run_case(StubCase(15, "allin"), [cfg], mocks["dir"] / "w15")
+    assert outs[0].compile_status == "timeout"
+    pid = int(pidfile.read_text())
+    try:
+        deadline = time.monotonic() + 5
+        while _alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _alive(pid), "the timed-out compiler's grandchild survived"
+    finally:
+        if _alive(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_non_utf8_stdout_compared_losslessly(mocks, tmp_path):

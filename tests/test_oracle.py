@@ -6,7 +6,7 @@ from rvvfuzz.codegen import (
     _build_manifest,
     emit_case,
 )
-from rvvfuzz.oracle import OracleUnsupported, evaluate
+from rvvfuzz.oracle import OracleUnsupported, evaluate, oracle_subset_listing
 from rvvfuzz.pipeline import Generator
 
 ADD32_LISTING = "\n".join(
@@ -135,3 +135,24 @@ def test_strip_mining_multiple_iterations(subset_gen):
         a = evaluate(case, vlen=64)
         b = evaluate(case, vlen=512)
         assert a == b, seed
+
+
+def test_subset_listing_built_once(monkeypatch):
+    import rvvfuzz.intrinsics
+
+    parsed = []
+    parse_prototype = rvvfuzz.intrinsics.parse_prototype
+
+    def counting(*args, **kwargs):
+        parsed.append(args)
+        return parse_prototype(*args, **kwargs)
+
+    monkeypatch.setattr(rvvfuzz.intrinsics, "parse_prototype", counting)
+    first = oracle_subset_listing()
+    parsed.clear()
+    assert oracle_subset_listing() == first
+    assert parsed == []
+    # the counter does see a real build
+    oracle_subset_listing.cache_clear()
+    assert oracle_subset_listing() == first
+    assert parsed
