@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .dataflow import OpInstance, SynthIndex, VReg, allocate
@@ -236,6 +236,8 @@ class CaseIR:
     state: "ElementState"
     manifest: list[tuple[str, int]]
     snapshot: dict
+    # the text every scheduling mode shares, rendered at the first emit_case
+    rendered: "_RenderedCase | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -725,24 +727,25 @@ def _mem_call(op: str, plan: MemPlan) -> str:
     return f"{_mem_names(op, t)(plan.kind, plan.index_eew)}({', '.join(args)})"
 
 
-def _load_stmt(plan: MemPlan, declared: set[int]) -> str:
+# A statement as (the register it assigns or None, its line when that
+# assignment declares the register, its line when the register exists)
+_Stmt = tuple[int | None, str, str]
+
+
+def _load_stmt(plan: MemPlan) -> _Stmt:
     reg, t, arr = plan.reg, plan.reg.vtype, plan.array
-    decl = f"{t.cname} " if reg.id not in declared else ""
-    declared.add(reg.id)
-    ptr = _ptr_name(arr)
     if plan.kind == "mask":
         src_t = arr.vtype
-        bt = t.token
-        lines = (
-            f"{src_t.cname} mload_{reg.id} = __riscv_vle8_v_{src_t.token}({ptr}, vl);\n"
-            f"        {decl}{reg.name} = "
-            f"__riscv_vmseq_vx_{src_t.token}_{bt}(mload_{reg.id}, 1, vl);"
-        )
-        return lines
-    return f"{decl}{reg.name} = {_mem_call('l', plan)};"
+        before = (f"{src_t.cname} mload_{reg.id} = "
+                  f"__riscv_vle8_v_{src_t.token}({_ptr_name(arr)}, vl);\n        ")
+        assign = (f"{reg.name} = "
+                  f"__riscv_vmseq_vx_{src_t.token}_{t.token}(mload_{reg.id}, 1, vl);")
+    else:
+        before, assign = "", f"{reg.name} = {_mem_call('l', plan)};"
+    return reg.id, f"        {before}{t.cname} {assign}", f"        {before}{assign}"
 
 
-def _op_stmt(op: OpInstance, i: int, scalar_args: dict, declared: set[int]) -> str:
+def _op_stmt(op: OpInstance, i: int, scalar_args: dict) -> _Stmt:
     d = op.def_
     args: list[str] = []
     for j, (b, p) in enumerate(zip(op.bound_params, d.params)):
@@ -759,19 +762,25 @@ def _op_stmt(op: OpInstance, i: int, scalar_args: dict, declared: set[int]) -> s
     ret = op.bound_return
     if ret is None:
         if d.return_kind == "void":
-            return f"{call};"
-        sink = "fp_sink" if d.ret_ctype in ("_Float16", "float", "double") else "int_sink"
-        cast = "(double)" if sink == "fp_sink" else "(long long)"
-        return f"{sink} = {cast}{call};"
-    decl = f"{ret.vtype.cname} " if ret.id not in declared else ""
-    declared.add(ret.id)
-    return f"{decl}{ret.name} = {call};"
+            line = f"        {call};"
+        else:
+            sink = "fp_sink" if d.ret_ctype in ("_Float16", "float", "double") else "int_sink"
+            cast = "(double)" if sink == "fp_sink" else "(long long)"
+            line = f"        {sink} = {cast}{call};"
+        return None, line, line
+    return (ret.id, f"        {ret.vtype.cname} {ret.name} = {call};",
+            f"        {ret.name} = {call};")
 
 
-def emit_case(ir: CaseIR, mode: str) -> ProgramCase:
-    rng = random.Random(f"sched:{ir.seed}:{mode}")
-    schedule = build_schedule(ir.P, ir.S, mode, rng)
+@dataclass
+class _RenderedCase:
+    head: str  # up to the loop's vsetvl line
+    stmts: dict[tuple[str, int, int], _Stmt]  # by (kind, op index, intra index)
+    tail: str  # from the pointer bumps to the end
 
+
+def _render(ir: CaseIR) -> _RenderedCase:
+    """Everything in a case's source that does not depend on the mode."""
     uses_float_scalar = any(
         isinstance(a, ScalarValue) and a.kind == "float"
         for a in ir.scalar_args.values()
@@ -824,18 +833,21 @@ def emit_case(ir: CaseIR, mode: str) -> ProgramCase:
     w(f"    size_t avl = {ir.data_len};")
     w("    for (size_t vl; avl > 0; avl -= vl) {")
     w(f"        vl = __riscv_vsetvl_{ir.vsetvl_token}(avl);")
+    head = "\n".join(out)
 
-    declared: set[int] = set()
-    for item in schedule.items:
-        if item.kind == "load":
-            plan = ir.load_plans[ir.P[item.op_index][item.intra_index].id]
-            w(f"        {_load_stmt(plan, declared)}")
-        elif item.kind == "store":
-            plan = ir.store_plans[ir.S[item.op_index][item.intra_index].id]
-            w(f"        {_mem_call('s', plan)};")
-        else:
-            w(f"        {_op_stmt(ir.ops[item.op_index], item.op_index, ir.scalar_args, declared)}")
+    stmts: dict[tuple[str, int, int], _Stmt] = {}
+    for i, regs in enumerate(ir.P):
+        for j, reg in enumerate(regs):
+            stmts["load", i, j] = _load_stmt(ir.load_plans[reg.id])
+    for i, op in enumerate(ir.ops):
+        stmts["op", i, 0] = _op_stmt(op, i, ir.scalar_args)
+    for i, regs in enumerate(ir.S):
+        for j, reg in enumerate(regs):
+            line = f"        {_mem_call('s', ir.store_plans[reg.id])};"
+            stmts["store", i, j] = (None, line, line)
 
+    out = []
+    w = out.append
     bumps = []
     for arr in ir.arrays:
         nf = arr.vtype.nf
@@ -857,8 +869,29 @@ def emit_case(ir: CaseIR, mode: str) -> ProgramCase:
     w("    return 0;")
     w("}")
     w("")
+    return _RenderedCase(head, stmts, "\n".join(out))
+
+
+def emit_case(ir: CaseIR, mode: str) -> ProgramCase:
+    """Phase B: order the shared statements for one mode and join them."""
+    rng = random.Random(f"sched:{ir.seed}:{mode}")
+    schedule = build_schedule(ir.P, ir.S, mode, rng)
+    if ir.rendered is None:
+        ir.rendered = _render(ir)
+    text = ir.rendered
+
+    lines = [text.head]
+    declared: set[int] = set()
+    for item in schedule.items:
+        reg, declaring, assigning = text.stmts[item.kind, item.op_index, item.intra_index]
+        if reg is None or reg in declared:
+            lines.append(assigning)
+        else:
+            declared.add(reg)
+            lines.append(declaring)
+    lines.append(text.tail)
 
     return ProgramCase(
-        ir.seed, mode, "\n".join(out), ir.manifest,
+        ir.seed, mode, "\n".join(lines), ir.manifest,
         dict(ir.snapshot, mode=mode), ir, schedule,
     )

@@ -21,11 +21,20 @@ PREFIX = "__riscv_"
 ROUND_TOKEN = "rm"
 POLICY_TOKENS = ("m", "tu", "tum", "tumu", "mu")
 
-_VTYPE_TOKEN_RE = re.compile(
-    r"^(?:[iuf](?:8|16|32|64)(?:mf?[1248])(?:x[2-8])?"  # value/tuple types
-    r"|e(?:8|16|32|64)(?:mf?[1248])"  # vsetvl config form
-    r"|b(?:1|2|4|8|16|32|64)"  # bool types
-    r"|[iuf](?:8|16|32|64))$"  # scalar element types (vmv_x_s etc.)
+# Every name piece that reads as a type token: value and tuple types
+# ({i,u,f}{sew}{lmul}[x{nf}]), the vsetvl form (e{sew}{lmul}), bool types
+# (b{ratio}) and scalar element types ({i,u,f}{sew}, as in vmv_x_s).  The
+# grammar is finite, so it is spelled out once and a name piece costs one
+# set lookup.  Like the regex it replaces, it admits more than the legal
+# types (mf1, f8).
+_SEW_TOKENS = ("8", "16", "32", "64")
+_LMUL_GRAMMAR = tuple(f"m{f}{n}" for f in ("", "f") for n in "1248")
+_VTYPE_TOKENS = frozenset(
+    [f"{k}{s}{m}{x}" for k in "iuf" for s in _SEW_TOKENS for m in _LMUL_GRAMMAR
+     for x in ("", *(f"x{nf}" for nf in range(2, 9)))]
+    + [f"e{s}{m}" for s in _SEW_TOKENS for m in _LMUL_GRAMMAR]
+    + [f"b{r}" for r in (1, 2, 4, 8, 16, 32, 64)]
+    + [f"{k}{s}" for k in "iuf" for s in _SEW_TOKENS]
 )
 
 _LOAD_STEM_RE = re.compile(
@@ -58,7 +67,7 @@ class AlignmentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NameParts:
     prefix: str
     mnemonic: str
@@ -71,13 +80,13 @@ def decode_name(full_name: str) -> NameParts:
     if not full_name.startswith(PREFIX):
         raise DecodeError(f"{full_name!r} does not start with {PREFIX!r}")
     pieces = full_name[len(PREFIX):].split("_")
-    if not pieces or not pieces[0]:
+    if not pieces[0]:
         raise DecodeError(f"{full_name!r} has no mnemonic")
 
-    first_type = next(
-        (i for i, p in enumerate(pieces) if _VTYPE_TOKEN_RE.match(p)), None
-    )
-    if first_type is None:
+    for first_type, piece in enumerate(pieces):
+        if piece in _VTYPE_TOKENS:
+            break
+    else:
         # implicit (overloaded) form: no type tokens, maybe trailing policy
         suffix: list[str] = []
         while pieces and pieces[-1] in POLICY_TOKENS:
@@ -88,23 +97,21 @@ def decode_name(full_name: str) -> NameParts:
             raise DecodeError(f"{full_name!r} has no mnemonic")
         return NameParts(PREFIX, "_".join(pieces), (), "_".join(suffix))
 
-    end_type = first_type
-    while end_type < len(pieces) and _VTYPE_TOKEN_RE.match(pieces[end_type]):
+    end_type = first_type + 1
+    while end_type < len(pieces) and pieces[end_type] in _VTYPE_TOKENS:
         end_type += 1
-    mnemonic = "_".join(pieces[:first_type])
-    types = tuple(pieces[first_type:end_type])
     rest = pieces[end_type:]
-
-    allowed = list(rest)
-    if allowed and allowed[0] == ROUND_TOKEN:
-        allowed.pop(0)
-    if allowed and allowed[0] in POLICY_TOKENS:
-        allowed.pop(0)
-    if allowed:
-        raise DecodeError(f"unknown suffix token {allowed[0]!r} in {full_name!r}")
-    if not mnemonic:
+    if rest:
+        # allowed: an optional rounding marker, then an optional policy
+        i = 1 if rest[0] == ROUND_TOKEN else 0
+        if i < len(rest) and rest[i] in POLICY_TOKENS:
+            i += 1
+        if i < len(rest):
+            raise DecodeError(f"unknown suffix token {rest[i]!r} in {full_name!r}")
+    if not first_type:
         raise DecodeError(f"{full_name!r} has no mnemonic")
-    return NameParts(PREFIX, mnemonic, types, "_".join(rest))
+    return NameParts(PREFIX, "_".join(pieces[:first_type]),
+                     tuple(pieces[first_type:end_type]), "_".join(rest))
 
 
 def render_name(parts: NameParts) -> str:
@@ -124,7 +131,7 @@ class Param:
     #            rounding-mode-frm | vl-count | memory-address | index-vector | other
 
 
-@dataclass
+@dataclass(slots=True)
 class IntrinsicDef:
     full_name: str
     name_parts: NameParts
@@ -194,8 +201,8 @@ def is_always_undefined(d: IntrinsicDef) -> bool:
     )
 
 
-def classify(d: IntrinsicDef, ignored_stems: frozenset[str] = DEFAULT_IGNORED_STEMS) -> str:
-    stem = d.stem
+def _stem_category(stem: str, ignored_stems: frozenset[str]) -> str | None:
+    """The category a stem decides on its own: Ignored, Load, or None."""
     if (
         stem in ignored_stems
         or _FOF_STEM_RE.match(stem)
@@ -204,9 +211,19 @@ def classify(d: IntrinsicDef, ignored_stems: frozenset[str] = DEFAULT_IGNORED_ST
         return "Ignored"
     if _LOAD_STEM_RE.match(stem):
         return "Load"
+    return None
+
+
+def _category(d: IntrinsicDef, stem_category: str | None) -> str:
+    if stem_category is not None:
+        return stem_category
     if d.ret_ctype == "void" and d.full_name.startswith(PREFIX + "vs"):
         return "Store"
     return "Operation"
+
+
+def classify(d: IntrinsicDef, ignored_stems: frozenset[str] = DEFAULT_IGNORED_STEMS) -> str:
+    return _category(d, _stem_category(d.stem, ignored_stems))
 
 
 def is_ratio_aligned(d: IntrinsicDef) -> tuple[bool, int | None]:
@@ -222,7 +239,7 @@ def is_ratio_aligned(d: IntrinsicDef) -> tuple[bool, int | None]:
 
 _PROTO_RE = re.compile(
     r"^\s*(?P<ret>[A-Za-z_][\w ]*?(?:\s*\*)?)\s*"
-    r"(?P<name>__riscv_\w+)\s*\(\s*(?P<params>.*?)\s*\)\s*;?\s*$"
+    r"(?P<name>__riscv_\w+)\s*\(\s*(?P<params>(?:.*\S)?)\s*\)\s*;?\s*$"
 )
 _PARAM_RE = re.compile(r"^(?P<ctype>.+?[\s*])(?P<name>[A-Za-z_]\w*)$")
 
@@ -240,13 +257,15 @@ def _vtype_of_ctype(ctype: str) -> VectorType | None:
     return None
 
 
-def _param_role(name: str, ctype: str, vtype: VectorType | None, stem: str) -> str:
+def _param_role(name: str, ctype: str, vtype: VectorType | None, indexed: bool) -> str:
+    """``indexed``: the stem is an indexed load/store, whose unsigned vector
+    operand is the index vector."""
     if "*" in ctype:
         return "memory-address"
     if vtype is not None:
         if vtype.is_bool and name in ("vm", "v0", "mask"):
             return "mask"
-        if not vtype.is_bool and vtype.kind == "uint" and _INDEXED_MEM_RE.match(stem):
+        if not vtype.is_bool and vtype.kind == "uint" and indexed:
             return "index-vector"
         return "vector-operand"
     base = ctype.replace("const", "").strip()
@@ -261,7 +280,53 @@ def _param_role(name: str, ctype: str, vtype: VectorType | None, stem: str) -> s
     return "other"
 
 
-def parse_prototype(line: str, lineno: int | None = None) -> IntrinsicDef:
+class ParseMemo:
+    """What the prototypes of one listing share, each parsed once.
+
+    ``params`` maps (parameter-list text, stem is an indexed load/store) to
+    the parsed parameters and ``pieces`` does the same for one parameter;
+    ``stems`` maps a stem to its stem-only category and whether it is an
+    indexed load/store.  A listing's tens of thousands of prototypes share
+    a few thousand parameter lists, about a thousand parameters and a few
+    hundred stems.  One memo serves one pass over a listing and goes with
+    it, so nothing it holds outlives that listing.
+    """
+
+    __slots__ = ("params", "pieces", "stems")
+
+    def __init__(self) -> None:
+        self.params: dict[tuple[str, bool], tuple[Param, ...]] = {}
+        self.pieces: dict[tuple[str, bool], Param] = {}
+        self.stems: dict[str, tuple[str | None, bool]] = {}
+
+    def parse_params(self, raw: str, indexed: bool, lineno: int | None) -> tuple[Param, ...]:
+        params = self.params.get((raw, indexed))
+        if params is None:
+            if not raw or raw == "void":
+                params = ()
+            else:
+                params = tuple(self._param(piece.strip(), indexed, lineno)
+                               for piece in raw.split(","))
+            self.params[raw, indexed] = params
+        return params
+
+    def _param(self, piece: str, indexed: bool, lineno: int | None) -> Param:
+        param = self.pieces.get((piece, indexed))
+        if param is None:
+            pm = _PARAM_RE.match(piece)
+            if not pm:
+                raise ParseError(f"malformed parameter {piece!r}", lineno)
+            ctype = " ".join(pm.group("ctype").replace("*", " * ").split())
+            pname = pm.group("name")
+            vtype = _vtype_of_ctype(ctype)
+            param = self.pieces[piece, indexed] = Param(
+                pname, ctype, vtype, _param_role(pname, ctype, vtype, indexed))
+        return param
+
+
+def parse_prototype(line: str, lineno: int | None = None,
+                    memo: ParseMemo | None = None) -> IntrinsicDef:
+    """Parse one prototype; pass one ``memo`` to every line of a listing."""
     m = _PROTO_RE.match(line)
     if not m:
         raise ParseError(f"malformed prototype: {line.strip()!r}", lineno)
@@ -273,37 +338,38 @@ def parse_prototype(line: str, lineno: int | None = None) -> IntrinsicDef:
 
     ret_ctype = " ".join(m.group("ret").split())
     ret_vtype = _vtype_of_ctype(ret_ctype)
-    if any(tok.startswith("f8") for tok in parts.type_tokens) or "vfloat8" in line:
+    if ("f8" in name and any(tok.startswith("f8") for tok in parts.type_tokens)
+            or "vfloat8" in line):
         raise ParseError(f"8-bit float vector types are not supported: {name}", lineno)
 
+    if memo is None:
+        memo = ParseMemo()
     stem = parts.mnemonic.split("_", 1)[0]
-    params: list[Param] = []
-    raw = m.group("params")
-    if raw and raw != "void":
-        for piece in raw.split(","):
-            pm = _PARAM_RE.match(piece.strip())
-            if not pm:
-                raise ParseError(f"malformed parameter {piece.strip()!r}", lineno)
-            ctype = " ".join(pm.group("ctype").replace("*", " * ").split())
-            pname = pm.group("name")
-            vtype = _vtype_of_ctype(ctype)
-            params.append(Param(pname, ctype, vtype, _param_role(pname, ctype, vtype, stem)))
+    facts = memo.stems.get(stem)
+    if facts is None:
+        facts = memo.stems[stem] = (
+            _stem_category(stem, DEFAULT_IGNORED_STEMS),
+            _INDEXED_MEM_RE.match(stem) is not None,
+        )
+    stem_category, indexed = facts
+    params = memo.parse_params(m.group("params"), indexed, lineno)
 
-    d = IntrinsicDef(name, parts, ret_ctype, ret_vtype, tuple(params))
-    d.category = classify(d)
+    d = IntrinsicDef(name, parts, ret_ctype, ret_vtype, params)
+    d.category = _category(d, stem_category)
     return d
 
 
 def parse_definitions(listing: str) -> list[IntrinsicDef]:
     """Parse a prototype listing into merged intrinsic records."""
     defs: dict[str, IntrinsicDef] = {}
+    memo = ParseMemo()
     seen_any = False
     for lineno, line in enumerate(listing.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("//") or stripped.startswith("#"):
+        if not stripped or stripped.startswith(("//", "#")):
             continue
         seen_any = True
-        d = parse_prototype(stripped, lineno)
+        d = parse_prototype(stripped, lineno, memo)
         if d.full_name in defs:
             defs[d.full_name].alias_count += 1
         else:

@@ -313,17 +313,18 @@ def _lane_value(stem, d, vec_args, scalar, i, sew):
 def oracle_subset_listing() -> str:
     """A listing restricted to evaluator-supported families; the smoke
     profile used by the equivalence and well-definedness suites.  The text
-    is built once per process; the parsed catalog it is filtered from is
-    not kept."""
+    is built once per process; the parsed catalog it is filtered from, and
+    the parse memo its lines share, are not kept."""
     from .catalog import build_listing
-    from .intrinsics import parse_prototype
+    from .intrinsics import ParseMemo, parse_prototype
 
+    memo = ParseMemo()
     keep: list[str] = []
     load_store = ("vle", "vlse", "vluxei", "vloxei", "vse", "vsse", "vsuxei", "vsoxei")
     for line in build_listing().splitlines():
         if not line.strip():
             continue
-        d = parse_prototype(line)
+        d = parse_prototype(line, memo=memo)
         if d.policy not in ("", "m"):
             continue
         if any(t.is_tuple or t.kind == "float" for t in d.vector_types()):

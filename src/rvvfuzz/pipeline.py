@@ -13,7 +13,7 @@ from .difftest import CompilerConfig, compare, report, run_case
 from .intrinsics import IntrinsicDef, parse_definitions
 from .oracle import OracleUnsupported, evaluate
 from .scheduling import MODES
-from .selection import filter_candidates
+from .selection import SelectionError, ratio_pools
 
 
 class SelfCheckError(AssertionError):
@@ -43,7 +43,7 @@ class RunConfig:
 
 class Generator:
     """The one way to build cases: owns the parsed definitions, the listed
-    names and the per-ratio candidate pools (filtered on first use)."""
+    names and the per-ratio candidate pools (all filled at construction)."""
 
     def __init__(self, listing_text: str, *, seq_len=10, data_len=10,
                  ratio_type: str | None = None, coin_bias: float = 0.5):
@@ -55,7 +55,7 @@ class Generator:
         self.data_len = data_len
         self.ratio_type = ratio_type
         self.coin_bias = coin_bias
-        self._pools: dict[int, list[IntrinsicDef]] = {}
+        self._pools = ratio_pools(self.defs)
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "Generator":
@@ -67,9 +67,10 @@ class Generator:
                    ratio_type=cfg.ratio_type, coin_bias=cfg.coin_bias)
 
     def pool(self, ratio: int) -> list[IntrinsicDef]:
-        if ratio not in self._pools:
-            self._pools[ratio] = filter_candidates(self.defs, ratio)
-        return self._pools[ratio]
+        pool = self._pools.get(ratio)
+        if pool is None:
+            raise SelectionError(f"ratio {ratio} admits no operation intrinsics")
+        return pool
 
     def build(self, seed: int, **overrides) -> CaseIR:
         kw = dict(

@@ -39,31 +39,41 @@ def reduction_vs2(d: IntrinsicDef):
     raise SelectionError(f"reduction {d.full_name} has no vs2 operand")
 
 
-def can_participate(d: IntrinsicDef, ratio: int) -> bool:
-    """Whether the operation fits a ratio-aligned sequence at this ratio.
+def participating_ratios(d: IntrinsicDef) -> frozenset[int]:
+    """The common ratios at which the operation fits a ratio-aligned sequence.
 
-    Aligned operations must match the common ratio exactly.  Reductions are
-    admitted on their iterated vs2 operand alone.  Other mixed-ratio
-    operations need one vector type at the common ratio, and every vector
-    parameter no wider (in lanes) than the common shape so that the shared
-    vl never exceeds an operand's capacity.
+    Aligned operations fit their one ratio.  Reductions fit the ratio of
+    their iterated vs2 operand alone.  Other mixed-ratio operations fit each
+    ratio among their vector types that no vector parameter's ratio exceeds:
+    every parameter then holds at least as many lanes as the common shape,
+    so the shared vl never exceeds an operand's capacity.
     """
     if not is_generatable(d):
-        return False
+        return frozenset()
     if is_reduction(d):
-        return reduction_vs2(d).vtype.ratio == ratio
+        return frozenset((reduction_vs2(d).vtype.ratio,))
     try:
         aligned, common = is_ratio_aligned(d)
     except AlignmentError:
-        return False
+        return frozenset()
     if aligned:
-        return common == ratio
-    types = [t.ratio for t in d.vector_types()]
-    if ratio not in types:
-        return False
-    return all(
-        p.vtype.ratio <= ratio for p in d.params if p.vtype is not None
-    )
+        return frozenset((common,))
+    highest = max((p.vtype.ratio for p in d.params if p.vtype is not None), default=0)
+    return frozenset(t.ratio for t in d.vector_types() if t.ratio >= highest)
+
+
+def can_participate(d: IntrinsicDef, ratio: int) -> bool:
+    """Whether the operation fits a ratio-aligned sequence at this ratio."""
+    return ratio in participating_ratios(d)
+
+
+def ratio_pools(defs: list[IntrinsicDef]) -> dict[int, list[IntrinsicDef]]:
+    """Every ratio's candidates in one pass, each pool in definition order."""
+    pools: dict[int, list[IntrinsicDef]] = {}
+    for d in defs:
+        for r in participating_ratios(d):
+            pools.setdefault(r, []).append(d)
+    return pools
 
 
 def filter_candidates(defs: list[IntrinsicDef], ratio: int) -> list[IntrinsicDef]:

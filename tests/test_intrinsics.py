@@ -1,9 +1,14 @@
+import re
+
 import pytest
 
+from rvvfuzz.catalog import build_listing
 from rvvfuzz.intrinsics import (
     AlignmentError,
     DecodeError,
     ParseError,
+    ParseMemo,
+    _VTYPE_TOKENS,
     decode_name,
     is_always_undefined,
     is_ratio_aligned,
@@ -211,3 +216,67 @@ def test_naming_categories():
     assert parse_prototype(
         "vint8m1_t __riscv_vadd(vint8m1_t vs2, vint8m1_t vs1, size_t vl);"
     ).naming_category == "implicit"
+
+
+def test_memo_keys_parameters_on_indexed_stem():
+    # one parameter text, two roles: an indexed load reads its unsigned
+    # vector operand as the index vector, an operation as an operand
+    params = "(const uint8_t *rs1, vuint8m1_t rs2, size_t vl);"
+    load = "vuint8m1_t __riscv_vluxei8_v_u8m1" + params
+    op = "vuint8m1_t __riscv_vaddx_v_u8m1" + params
+    for lines in ([load, op], [op, load]):
+        by_name = {d.full_name: d for d in parse_definitions("\n".join(lines))}
+        assert by_name["__riscv_vluxei8_v_u8m1"].params[1].role == "index-vector"
+        assert by_name["__riscv_vaddx_v_u8m1"].params[1].role == "vector-operand"
+
+
+def test_parse_definitions_equals_line_by_line_parse():
+    listing = build_listing()
+    # two overloads of one implicit name exercise alias merging as well
+    listing += (
+        "vint8m1_t __riscv_vadd(vint8m1_t vs2, vint8m1_t vs1, size_t vl);\n"
+        "vint16m1_t __riscv_vadd(vint16m1_t vs2, vint16m1_t vs1, size_t vl);\n"
+    )
+    want: dict = {}
+    for line in listing.splitlines():
+        d = parse_prototype(line)
+        if d.full_name in want:
+            want[d.full_name].alias_count += 1
+        else:
+            want[d.full_name] = d
+    got = parse_definitions(listing)
+    assert len(got) == len(want)
+    assert want["__riscv_vadd"].alias_count == 2
+    for a, b in zip(got, want.values()):
+        assert (a.full_name, a.name_parts, a.ret_ctype, a.ret_vtype, a.params,
+                a.category, a.alias_count, a.stem, a.policy) == (
+                b.full_name, b.name_parts, b.ret_ctype, b.ret_vtype, b.params,
+                b.category, b.alias_count, b.stem, b.policy), a.full_name
+
+
+def test_malformed_parameter_names_its_own_line():
+    good = "vint8m1_t __riscv_vadd_vv_i8m1(vint8m1_t vs2, vint8m1_t vs1, size_t vl);"
+    bad = "vint8m1_t __riscv_vadd_vv_i8m2(vint8m1_t vs2, vint8m1_t, size_t vl);"
+    with pytest.raises(ParseError, match=r"^line 3: malformed parameter 'vint8m1_t'"):
+        parse_definitions("\n".join([good, "// comment", bad]))
+    # a failure is not remembered: the same text fails again on its own line
+    memo = ParseMemo()
+    parse_prototype(good, 1, memo)
+    for lineno in (4, 9):
+        with pytest.raises(ParseError, match=f"^line {lineno}: malformed parameter"):
+            parse_prototype(bad, lineno, memo)
+
+
+def test_type_token_set_matches_the_grammar():
+    grammar = re.compile(
+        r"^(?:[iuf](?:8|16|32|64)(?:mf?[1248])(?:x[2-8])?"
+        r"|e(?:8|16|32|64)(?:mf?[1248])"
+        r"|b(?:1|2|4|8|16|32|64)"
+        r"|[iuf](?:8|16|32|64))$"
+    )
+    pieces = {p for line in build_listing().splitlines()
+              for p in line.split("(")[0].split()[-1].split("_")}
+    near = {"i8m3", "i8mf16", "e8", "b3", "b128", "u8m1x9", "u8m1x1", "x2", "f8",
+            "i128", "m1", "vv", "v", "rm", "tumu", "I8M1", ""}
+    for piece in pieces | near | _VTYPE_TOKENS:
+        assert (piece in _VTYPE_TOKENS) == bool(grammar.match(piece)), piece

@@ -5,13 +5,24 @@ from fractions import Fraction
 import pytest
 
 from rvvfuzz.catalog import build_listing
-from rvvfuzz.intrinsics import parse_definitions, parse_prototype
+from rvvfuzz.intrinsics import (
+    AlignmentError,
+    is_ratio_aligned,
+    is_reduction,
+    parse_definitions,
+    parse_prototype,
+)
+from rvvfuzz.pipeline import Generator
 from rvvfuzz.selection import (
     SelectionConfig,
     SelectionError,
+    can_participate,
     filter_candidates,
+    reduction_vs2,
     select_sequence,
 )
+from rvvfuzz.semantics import is_generatable
+from rvvfuzz.types import BOOL_RATIOS
 
 _LMULS = {"mf8": Fraction(1, 8), "mf4": Fraction(1, 4), "mf2": Fraction(1, 2),
           "m1": 1, "m2": 2, "m4": 4, "m8": 8}
@@ -74,6 +85,47 @@ def test_empty_pool_is_an_error():
     )
     with pytest.raises(SelectionError, match="ratio 8"):
         filter_candidates(only_loads, 8)
+
+
+def reference_can_participate(d, ratio: int) -> bool:
+    """The ratio rule checked one ratio at a time, as a reference."""
+    if not is_generatable(d):
+        return False
+    if is_reduction(d):
+        return reduction_vs2(d).vtype.ratio == ratio
+    try:
+        aligned, common = is_ratio_aligned(d)
+    except AlignmentError:
+        return False
+    if aligned:
+        return common == ratio
+    if ratio not in [t.ratio for t in d.vector_types()]:
+        return False
+    return all(p.vtype.ratio <= ratio for p in d.params if p.vtype is not None)
+
+
+@pytest.mark.parametrize("fixture", ["catalog_gen", "subset_gen"])
+def test_pools_are_one_pass_views_of_can_participate(fixture, request):
+    gen = request.getfixturevalue(fixture)
+    for ratio in BOOL_RATIOS:
+        want = [d for d in gen.defs if can_participate(d, ratio)]
+        assert want == [d for d in gen.defs if reference_can_participate(d, ratio)]
+        got = gen.pool(ratio)
+        # the same objects in the same order: select_sequence draws by index
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want)), ratio
+    for ratio in (0, 3, 128):
+        with pytest.raises(SelectionError, match=f"ratio {ratio} "):
+            gen.pool(ratio)
+
+
+def test_generator_without_operations_fails_at_pool_not_construction():
+    gen = Generator(
+        "vint8m1_t __riscv_vle8_v_i8m1(const int8_t *rs1, size_t vl);\n"
+        "void __riscv_vse8_v_i8m1(int8_t *rs1, vint8m1_t vs3, size_t vl);\n"
+    )
+    with pytest.raises(SelectionError, match="ratio 8"):
+        gen.pool(8)
 
 
 def test_single_candidate():
