@@ -176,15 +176,6 @@ def _loads_stores(c: Catalog) -> None:
                  [f"{e} *rs1", f"{idx} rs2", f"{tt.cname} vs3", "size_t vl"], merge=tt)
 
 
-# mask-load variants of a tuple's cname never appear as bare tokens, so the
-# Catalog.op masked path needs the ratio of the *value* type; for void-return
-# stores we pass merge= to locate the governing type.
-
-
-def _store_mask_fixup(c: Catalog) -> None:
-    pass
-
-
 # ---------------------------------------------------------------------------
 # integer arithmetic
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from typing import Callable
 from .dataflow import OpInstance, SynthIndex, VReg, allocate
 from .intrinsics import IntrinsicDef
 from .scheduling import Schedule, build_schedule, derive_prefix_suffix
-from .selection import SelectionConfig, select_sequence
+from .selection import select_sequence
 from .semantics import (
     ELEMENTWISE,
     LANE_LOCAL,
@@ -43,6 +43,7 @@ from .semantics import (
 from .types import (
     BOOL_RATIOS,
     EMUL_TOKENS,
+    SCALAR_CTYPES,
     VectorType,
     all_value_types,
     lmul_token,
@@ -116,13 +117,8 @@ def gen_scalar(kind: str, width: int, rng: random.Random) -> ScalarValue:
     raise CodegenError(f"unsupported scalar pair ({kind}, {width})")
 
 
-_CTYPE_TO_PAIR = {
-    "int8_t": ("int", 8), "int16_t": ("int", 16),
-    "int32_t": ("int", 32), "int64_t": ("int", 64),
-    "uint8_t": ("uint", 8), "uint16_t": ("uint", 16),
-    "uint32_t": ("uint", 32), "uint64_t": ("uint", 64),
-    "_Float16": ("float", 16), "float": ("float", 32), "double": ("float", 64),
-}
+_CTYPE_TO_PAIR = {ctype: pair for pair, ctype in SCALAR_CTYPES.items()}
+_FLOAT_CTYPES = frozenset(c for (kind, _), c in SCALAR_CTYPES.items() if kind == "float")
 
 
 def render_int(v: ScalarValue) -> str:
@@ -290,14 +286,13 @@ def build_case(
     dlen = _draw(cfg_rng, data_len)
     token = ratio_token or _VALUE_TOKENS[cfg_rng.randrange(len(_VALUE_TOKENS))]
     rng = random.Random(f"case:{seed}")
-    cfg = SelectionConfig.from_type_token(token, n, seed)
-    ratio = cfg.common_ratio
+    ratio = VectorType.from_token(token).ratio
 
     # the loop's vsetvl may use any shape with the common ratio
     vsetvl_choices = _VSETVL_TOKENS[ratio]
     vsetvl_token = vsetvl_choices[rng.randrange(len(vsetvl_choices))]
 
-    seq = select_sequence(pool(ratio), cfg, rng)
+    seq = select_sequence(pool(ratio), n, rng)
     ops = allocate([OpInstance(d) for d in seq], rng, coin_bias)
     P, S = derive_prefix_suffix(ops)
 
@@ -655,7 +650,8 @@ _PRINT_FMT = {
     ("float", 64): ("0x%016llx", "(unsigned long long)"),
 }
 
-_BITS_CTYPE = {16: "uint16_t", 32: "uint32_t", 64: "uint64_t"}
+# float width -> the unsigned C type of its bit pattern
+_BITS_CTYPE = {w: SCALAR_CTYPES["uint", w] for w in (16, 32, 64)}
 
 # computed NaNs print as zero so payload differences never masquerade as
 # miscompilations; exponent/mantissa masks per IEEE width
@@ -764,7 +760,7 @@ def _op_stmt(op: OpInstance, i: int, scalar_args: dict) -> _Stmt:
         if d.return_kind == "void":
             line = f"        {call};"
         else:
-            sink = "fp_sink" if d.ret_ctype in ("_Float16", "float", "double") else "int_sink"
+            sink = "fp_sink" if d.ret_ctype in _FLOAT_CTYPES else "int_sink"
             cast = "(double)" if sink == "fp_sink" else "(long long)"
             line = f"        {sink} = {cast}{call};"
         return None, line, line
@@ -781,22 +777,18 @@ class _RenderedCase:
 
 def _render(ir: CaseIR) -> _RenderedCase:
     """Everything in a case's source that does not depend on the mode."""
-    uses_float_scalar = any(
-        isinstance(a, ScalarValue) and a.kind == "float"
-        for a in ir.scalar_args.values()
-    )
     float_widths = sorted(
         {a.width for a in ir.scalar_args.values()
          if isinstance(a, ScalarValue) and a.kind == "float"}
     )
     needs_int_sink = any(
         op.bound_return is None and op.def_.return_kind == "scalar"
-        and op.def_.ret_ctype not in ("_Float16", "float", "double")
+        and op.def_.ret_ctype not in _FLOAT_CTYPES
         for op in ir.ops
     )
     needs_fp_sink = any(
         op.bound_return is None
-        and op.def_.ret_ctype in ("_Float16", "float", "double")
+        and op.def_.ret_ctype in _FLOAT_CTYPES
         for op in ir.ops
     )
 
@@ -812,12 +804,10 @@ def _render(ir: CaseIR) -> _RenderedCase:
         w("static volatile long long int_sink;")
     if needs_fp_sink:
         w("static volatile double fp_sink;")
-    if uses_float_scalar:
-        ftype = {16: "_Float16", 32: "float", 64: "double"}
-        for width in float_widths:
-            bits = _BITS_CTYPE[width]
-            w(f"static inline {ftype[width]} f{width}_bits({bits} b) "
-              f"{{ union {{ {bits} b; {ftype[width]} f; }} u; u.b = b; return u.f; }}")
+    for width in float_widths:
+        bits, ftype = _BITS_CTYPE[width], SCALAR_CTYPES["float", width]
+        w(f"static inline {ftype} f{width}_bits({bits} b) "
+          f"{{ union {{ {bits} b; {ftype} f; }} u; u.b = b; return u.f; }}")
     arrays_by_name = {arr.name: arr for arr in ir.arrays}
     printed_float_widths = sorted(
         {arrays_by_name[name].vtype.sew for name, _ in ir.manifest

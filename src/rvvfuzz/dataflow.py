@@ -14,8 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .intrinsics import IntrinsicDef
-from .selection import is_quarantined
-from .semantics import wants_synth_index
+from .semantics import UNINITIALIZED, semantic_class, wants_synth_index
 from .types import VectorType
 
 
@@ -49,36 +48,12 @@ class OpInstance:
         return [b for b in self.bound_params if isinstance(b, VReg)]
 
 
-class VRegTable:
-    """type token -> active registers of that exact type."""
-
-    def __init__(self) -> None:
-        self._buckets: dict[str, list[VReg]] = {}
-
-    def bucket(self, vtype: VectorType) -> list[VReg]:
-        return self._buckets.setdefault(vtype.token, [])
-
-    def append(self, reg: VReg) -> None:
-        assert not reg.quarantined
-        self.bucket(reg.vtype).append(reg)
-
-    def active(self) -> list[VReg]:
-        return [r for regs in self._buckets.values() for r in regs]
-
-
-def coin_flip(rng: random.Random, bias: float = 0.5) -> bool:
-    return rng.random() < bias
-
-
 def allocate(
-    ops: list[OpInstance],
-    rng: random.Random,
-    coin_bias: float = 0.5,
-    table: VRegTable | None = None,
+    ops: list[OpInstance], rng: random.Random, coin_bias: float = 0.5
 ) -> list[OpInstance]:
-    if table is None:
-        table = VRegTable()
-    next_id = max((r.id for r in table.active()), default=-1) + 1
+    # type token -> active registers of that exact type
+    table: dict[str, list[VReg]] = {}
+    next_id = 0
 
     def fresh(vtype: VectorType, from_memory: bool, quarantined: bool = False) -> VReg:
         nonlocal next_id
@@ -95,10 +70,10 @@ def allocate(
             if wants_synth_index(op.def_, p.name):
                 op.bound_params.append(SynthIndex(p.vtype))
                 continue
-            bucket = table.bucket(p.vtype)
-            if coin_flip(rng, coin_bias) or not bucket:
+            bucket = table.setdefault(p.vtype.token, [])
+            if rng.random() < coin_bias or not bucket:
                 reg = fresh(p.vtype, from_memory=True)
-                table.append(reg)
+                bucket.append(reg)
             else:
                 reg = bucket[rng.randrange(len(bucket))]
             op.bound_params.append(reg)
@@ -106,13 +81,13 @@ def allocate(
         ret_t = op.def_.ret_vtype
         if ret_t is None:
             continue
-        if is_quarantined(op.def_):
+        if semantic_class(op.def_) == UNINITIALIZED:
             op.bound_return = fresh(ret_t, from_memory=False, quarantined=True)
             continue
-        bucket = table.bucket(ret_t)
-        if coin_flip(rng, coin_bias) or not bucket:
+        bucket = table.setdefault(ret_t.token, [])
+        if rng.random() < coin_bias or not bucket:
             reg = fresh(ret_t, from_memory=False)
-            table.append(reg)
+            bucket.append(reg)
         else:
             reg = bucket[rng.randrange(len(bucket))]
         op.bound_return = reg

@@ -16,9 +16,6 @@ import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 
-# flags the real campaigns pass to RISC-V cross compilers
-DEFAULT_MARCH_FLAGS = ["-march=rv64gcv_zvfh", "-mabi=lp64d", "-Wno-psabi", "-static"]
-
 DEFAULT_CRASH_SIGNATURES = (
     "internal compiler error",
     "PLEASE submit a bug report",
@@ -265,7 +262,7 @@ def compare(outcomes: list[RunOutcome]) -> list[Verdict]:
     return verdicts
 
 
-def report(verdicts: list[Verdict], sink, artifacts: dict | None = None) -> dict:
+def report(verdicts: list[Verdict], sink) -> dict:
     """Line-delimited verdict records plus aggregate counts."""
     counts = {c: 0 for c in CLASSIFICATIONS}
     signatures: set[str] = set()
@@ -280,8 +277,6 @@ def report(verdicts: list[Verdict], sink, artifacts: dict | None = None) -> dict
         }
         if v.detail:
             rec["detail"] = v.detail
-        if artifacts and v.seed in artifacts:
-            rec["artifacts"] = artifacts[v.seed]
         sink.write(json.dumps(rec, sort_keys=True) + "\n")
     summary = {"counts": counts, "unique_signatures": len(signatures),
                "total": len(verdicts)}

@@ -44,11 +44,9 @@ _LOAD_STEM_RE = re.compile(
 _FOF_STEM_RE = re.compile(r"^(?:vle\d+ff|vlseg[2-8]e\d+ff)$")
 _WHOLE_REG_LOAD_RE = re.compile(r"^vl[1248]re\d+$")
 
-# Unsupported by the generator and excluded from selection; extendable by
-# callers (the exact inventory beyond fault-only-first loads is configurable).
-DEFAULT_IGNORED_STEMS = frozenset({"vsetvl", "vsetvlmax", "vlenb", "vlm"})
-
-CATEGORIES = ("Load", "Store", "Ignored", "Operation")
+# Unsupported by the generator and excluded from selection, beside the
+# fault-only-first and whole-register loads matched below
+IGNORED_STEMS = frozenset({"vsetvl", "vsetvlmax", "vlenb", "vlm"})
 
 
 class ParseError(ValueError):
@@ -201,10 +199,10 @@ def is_always_undefined(d: IntrinsicDef) -> bool:
     )
 
 
-def _stem_category(stem: str, ignored_stems: frozenset[str]) -> str | None:
+def _stem_category(stem: str) -> str | None:
     """The category a stem decides on its own: Ignored, Load, or None."""
     if (
-        stem in ignored_stems
+        stem in IGNORED_STEMS
         or _FOF_STEM_RE.match(stem)
         or _WHOLE_REG_LOAD_RE.match(stem)
     ):
@@ -220,10 +218,6 @@ def _category(d: IntrinsicDef, stem_category: str | None) -> str:
     if d.ret_ctype == "void" and d.full_name.startswith(PREFIX + "vs"):
         return "Store"
     return "Operation"
-
-
-def classify(d: IntrinsicDef, ignored_stems: frozenset[str] = DEFAULT_IGNORED_STEMS) -> str:
-    return _category(d, _stem_category(d.stem, ignored_stems))
 
 
 def is_ratio_aligned(d: IntrinsicDef) -> tuple[bool, int | None]:
@@ -348,7 +342,7 @@ def parse_prototype(line: str, lineno: int | None = None,
     facts = memo.stems.get(stem)
     if facts is None:
         facts = memo.stems[stem] = (
-            _stem_category(stem, DEFAULT_IGNORED_STEMS),
+            _stem_category(stem),
             _INDEXED_MEM_RE.match(stem) is not None,
         )
     stem_category, indexed = facts

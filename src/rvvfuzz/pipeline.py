@@ -134,7 +134,7 @@ def fuzz_seed(
     vlen: int = 128,
     do_self_check: bool = False,
 ):
-    """Generate all variants of one seed, run the matrix, classify."""
+    """Generate all variants of one seed, run the matrix, compare the outputs."""
     cases = gen.cases(seed, modes=modes)
     if do_self_check:
         self_check(cases, vlen)

@@ -3,32 +3,13 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .intrinsics import AlignmentError, IntrinsicDef, is_ratio_aligned, is_reduction
-from .semantics import UNINITIALIZED, is_generatable, semantic_class
-from .types import ratio_of
+from .semantics import is_generatable
 
 
 class SelectionError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    common_ratio: int
-    seq_len: int
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.seq_len < 1:
-            raise SelectionError("sequence length must be >= 1")
-        if self.common_ratio not in (1, 2, 4, 8, 16, 32, 64):
-            raise SelectionError(f"illegal SEW/LMUL ratio {self.common_ratio}")
-
-    @classmethod
-    def from_type_token(cls, token: str, seq_len: int, rng_seed: int = 0):
-        return cls(ratio_of(token), seq_len, rng_seed)
 
 
 def reduction_vs2(d: IntrinsicDef):
@@ -62,13 +43,12 @@ def participating_ratios(d: IntrinsicDef) -> frozenset[int]:
     return frozenset(t.ratio for t in d.vector_types() if t.ratio >= highest)
 
 
-def can_participate(d: IntrinsicDef, ratio: int) -> bool:
-    """Whether the operation fits a ratio-aligned sequence at this ratio."""
-    return ratio in participating_ratios(d)
-
-
 def ratio_pools(defs: list[IntrinsicDef]) -> dict[int, list[IntrinsicDef]]:
-    """Every ratio's candidates in one pass, each pool in definition order."""
+    """Every ratio's candidates in one pass, each pool in definition order.
+
+    Always-undefined conversions stay in the pools; dataflow quarantines
+    their results so nothing downstream consumes an uninitialized value.
+    """
     pools: dict[int, list[IntrinsicDef]] = {}
     for d in defs:
         for r in participating_ratios(d):
@@ -76,28 +56,12 @@ def ratio_pools(defs: list[IntrinsicDef]) -> dict[int, list[IntrinsicDef]]:
     return pools
 
 
-def filter_candidates(defs: list[IntrinsicDef], ratio: int) -> list[IntrinsicDef]:
-    """Operation intrinsics able to join a ratio-aligned sequence.
-
-    Always-undefined conversions stay in the pool; dataflow quarantines
-    their results so nothing downstream consumes an uninitialized value.
-    """
-    out = [d for d in defs if can_participate(d, ratio)]
-    if not out:
-        raise SelectionError(f"ratio {ratio} admits no operation intrinsics")
-    return out
-
-
-def is_quarantined(d: IntrinsicDef) -> bool:
-    return semantic_class(d) == UNINITIALIZED
-
-
 def select_sequence(
-    candidates: list[IntrinsicDef], cfg: SelectionConfig, rng: random.Random | None = None
+    candidates: list[IntrinsicDef], seq_len: int, rng: random.Random
 ) -> list[IntrinsicDef]:
     """N independent uniform draws with replacement, deterministic per seed."""
+    if seq_len < 1:
+        raise SelectionError("sequence length must be >= 1")
     if not candidates:
         raise SelectionError("empty candidate set")
-    if rng is None:
-        rng = random.Random(f"select:{cfg.rng_seed}")
-    return [candidates[rng.randrange(len(candidates))] for _ in range(cfg.seq_len)]
+    return [candidates[rng.randrange(len(candidates))] for _ in range(seq_len)]

@@ -1,4 +1,4 @@
-"""Vector type model: element kinds, SEW/LMUL, ratios, and vsetvl arithmetic."""
+"""Vector type model: element kinds, SEW/LMUL, ratios and type tokens."""
 
 from __future__ import annotations
 
@@ -43,7 +43,8 @@ EMUL_TOKENS = {
 _KIND_PREFIX = {"int": "i", "uint": "u", "float": "f"}
 _PREFIX_KIND = {v: k for k, v in _KIND_PREFIX.items()}
 
-_SCALAR_CTYPE = {
+# (kind, SEW) -> the C type of one element or scalar operand
+SCALAR_CTYPES = {
     ("int", 8): "int8_t",
     ("int", 16): "int16_t",
     ("int", 32): "int32_t",
@@ -142,7 +143,7 @@ class VectorType:
         """The scalar C type of one element (bool elements have none)."""
         if self.is_bool:
             raise TypeError_("bool vectors have no element C type")
-        return _SCALAR_CTYPE[(self.kind, self.sew)]
+        return SCALAR_CTYPES[(self.kind, self.sew)]
 
     def scalar(self, nf: int = 1) -> "VectorType":
         """Same kind/SEW/LMUL with a different tuple length."""
@@ -220,67 +221,6 @@ def type_at_ratio(kind: str, sew: int, ratio: int) -> VectorType:
 
 def lmul_token(lmul: Fraction) -> str:
     return _LMUL_TO_TOKEN[lmul]
-
-
-def sew_lmul_of_token(token: str) -> tuple[int, Fraction]:
-    """SEW and LMUL of an i/u/f/e-prefixed token ('e32m2' is the vsetvl form)."""
-    t = token[1:] if token[:1] in ("i", "u", "f", "e") else ""
-    if not t:
-        raise TypeError_(f"malformed type token {token!r}")
-    if "x" in t:
-        t = t.partition("x")[0]
-    m_at = t.find("m")
-    if m_at < 0:
-        raise TypeError_(f"malformed type token {token!r}")
-    try:
-        sew = int(t[:m_at])
-    except ValueError:
-        raise TypeError_(f"malformed type token {token!r}") from None
-    lmul = _TOKEN_TO_LMUL.get(t[m_at:])
-    if lmul is None or sew not in SEWS:
-        raise TypeError_(f"malformed type token {token!r}")
-    return sew, lmul
-
-
-def ratio_of(t: "VectorType | str") -> int:
-    """SEW/LMUL ratio of a vector type or type token; bool ratio for b-tokens."""
-    if isinstance(t, VectorType):
-        return t.ratio
-    if t.startswith("b"):
-        return VectorType.from_token(t).ratio
-    r = _whole_ratio(*sew_lmul_of_token(t))
-    if r is None or not 1 <= r <= 64:
-        raise TypeError_(f"illegal SEW/LMUL combination in {t!r}")
-    return r
-
-
-@dataclass(frozen=True)
-class MachineParams:
-    """Implementation constants: bits per vector register and max element width."""
-
-    vlen: int = 128
-    elen: int = 64
-
-    def __post_init__(self) -> None:
-        if self.vlen < 64 or self.vlen & (self.vlen - 1):
-            raise TypeError_(f"vlen must be a power of two >= 64, got {self.vlen}")
-        if self.elen > self.vlen:
-            raise TypeError_("elen cannot exceed vlen")
-
-    def vlmax(self, t: "VectorType | str") -> int:
-        """VLEN * LMUL / SEW; equivalently VLEN / ratio."""
-        r = ratio_of(t)
-        if self.vlen < r:
-            raise TypeError_(f"vlmax < 1 for ratio {r} at VLEN {self.vlen}")
-        return self.vlen // r
-
-    def vsetvl(self, avl: int, t: "VectorType | str") -> int:
-        if avl < 0:
-            raise TypeError_(f"negative avl {avl}")
-        return min(avl, self.vlmax(t))
-
-    def vsetvlmax(self, t: "VectorType | str") -> int:
-        return self.vlmax(t)
 
 
 def all_value_types(elen: int = 64) -> list[VectorType]:

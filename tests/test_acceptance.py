@@ -33,7 +33,7 @@ from rvvfuzz.scheduling import (
     check_constraints,
     derive_prefix_suffix,
 )
-from rvvfuzz.selection import SelectionConfig, select_sequence
+from rvvfuzz.selection import select_sequence
 
 REPORT = Path(__file__).with_name("acceptance_report.txt")
 
@@ -104,8 +104,8 @@ def test_criterion_3_scheduling_constraints(catalog_gen):
     for seed in range(1_000):
         for n in range(1, 21):
             ratio = ratios[(seed + n) % len(ratios)]
-            cfg = SelectionConfig(ratio, n, rng_seed=seed)
-            seq = select_sequence(catalog_gen.pool(ratio), cfg)
+            seq = select_sequence(catalog_gen.pool(ratio), n,
+                                  random.Random(f"select:{seed}"))
             ops = allocate([OpInstance(d) for d in seq],
                            random.Random(f"a:{seed}:{n}"))
             P, S = derive_prefix_suffix(ops)
@@ -229,8 +229,7 @@ def test_criterion_7_dependency_scenarios(catalog_gen):
     want = {"read-read", "read-write", "write-read", "write-write"}
     found = set()
     for seed in range(10_000):
-        cfg = SelectionConfig(8, 10, rng_seed=seed)
-        seq = select_sequence(catalog_gen.pool(8), cfg)
+        seq = select_sequence(catalog_gen.pool(8), 10, random.Random(f"select:{seed}"))
         ops = allocate([OpInstance(d) for d in seq], random.Random(f"d:{seed}"))
         found |= scan_dependencies(ops)
         if found >= want:

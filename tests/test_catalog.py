@@ -65,7 +65,7 @@ def test_known_spellings(defs):
 
 
 def test_categories_partition(defs):
-    # classify is total: every def lands in exactly one category
+    # the category rule is total: every def lands in exactly one category
     for d in defs:
         assert d.category in ("Load", "Store", "Ignored", "Operation")
 

@@ -276,3 +276,15 @@ def test_config_errors_exit_two(tmp_path, listing_file):
     assert main(["fuzz", "--listing", listing_file, "--seeds", "1"]) == 2  # no compilers
     assert main(["generate", "--listing", listing_file, "--seeds", "1",
                  "--ratio-type", "i8m1", "--modes", "sideways"]) == 2
+
+
+@pytest.mark.parametrize("extra", [
+    ["--ratio-type", "f8m1"],  # no 8-bit float vector type
+    ["--ratio-type", "e8m1"],  # a vsetvl shape, not a vector type
+    ["--ratio-type", "i8m1", "--seq-len", "0"],
+])
+def test_illegal_shape_exits_two(tmp_path, listing_file, extra, capsys):
+    out = str(tmp_path / "none")
+    assert main(["generate", "--listing", listing_file, "--seeds", "1",
+                 "--out", out, *extra]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rvvfuzz.catalog import build_listing
+from rvvfuzz.dataflow import OpInstance, allocate
 from rvvfuzz.intrinsics import (
     AlignmentError,
     is_ratio_aligned,
@@ -14,15 +15,14 @@ from rvvfuzz.intrinsics import (
 )
 from rvvfuzz.pipeline import Generator
 from rvvfuzz.selection import (
-    SelectionConfig,
     SelectionError,
-    can_participate,
-    filter_candidates,
+    participating_ratios,
+    ratio_pools,
     reduction_vs2,
     select_sequence,
 )
-from rvvfuzz.semantics import is_generatable
-from rvvfuzz.types import BOOL_RATIOS
+from rvvfuzz.semantics import UNINITIALIZED, is_generatable, semantic_class
+from rvvfuzz.types import BOOL_RATIOS, TypeError_
 
 _LMULS = {"mf8": Fraction(1, 8), "mf4": Fraction(1, 4), "mf2": Fraction(1, 2),
           "m1": 1, "m2": 2, "m4": 4, "m8": 8}
@@ -42,40 +42,41 @@ def signature_ratios(d) -> set[int]:
 
 
 @pytest.fixture(scope="module")
-def defs(catalog_defs):
-    return catalog_defs
+def gen(catalog_gen):
+    return catalog_gen
 
 
-def test_filter_keeps_ratio16_float_add(defs):
-    cands = filter_candidates(defs, 16)
-    names = {d.full_name for d in cands}
+def _names(pool):
+    return {d.full_name for d in pool}
+
+
+def test_filter_keeps_ratio16_float_add(gen):
+    names = _names(gen.pool(16))
     assert "__riscv_vfadd_vv_f32m2" in names
     assert "__riscv_vadd_vv_u8m1_m" not in names  # ratio 8
 
 
-def test_filter_keeps_masked_add_at_ratio8(defs):
-    names = {d.full_name for d in filter_candidates(defs, 8)}
-    assert "__riscv_vadd_vv_u8m1_m" in names
+def test_filter_keeps_masked_add_at_ratio8(gen):
+    assert "__riscv_vadd_vv_u8m1_m" in _names(gen.pool(8))
 
 
-def test_reduction_rule(defs):
+def test_reduction_rule(gen):
     # vs2 governs: i8m4 has ratio 2, so the op joins ratio-2 pools only
     name = "__riscv_vredsum_vs_i8m4_i8m1"
-    assert name not in {d.full_name for d in filter_candidates(defs, 16)}
-    assert name in {d.full_name for d in filter_candidates(defs, 2)}
+    assert name not in _names(gen.pool(16))
+    assert name in _names(gen.pool(2))
 
 
-def test_always_undefined_kept_but_flagged(defs):
-    from rvvfuzz.selection import is_quarantined
+def test_always_undefined_kept_but_flagged(gen):
+    ext = [d for d in gen.pool(32) if d.full_name == "__riscv_vlmul_ext_v_f16mf2_f16m1"]
+    assert ext and semantic_class(ext[0]) == UNINITIALIZED
+    (op,) = allocate([OpInstance(ext[0])], random.Random(0))
+    assert op.bound_return.quarantined
 
-    cands = filter_candidates(defs, 32)
-    ext = [d for d in cands if d.full_name == "__riscv_vlmul_ext_v_f16mf2_f16m1"]
-    assert ext and is_quarantined(ext[0])
 
-
-def test_no_loads_stores_ignored_in_pool(defs):
+def test_no_loads_stores_ignored_in_pool(gen):
     for ratio in (1, 2, 4, 8, 16, 32, 64):
-        for d in filter_candidates(defs, ratio):
+        for d in gen.pool(ratio):
             assert d.category == "Operation"
 
 
@@ -83,8 +84,9 @@ def test_empty_pool_is_an_error():
     only_loads = parse_definitions(
         "vint8m1_t __riscv_vle8_v_i8m1(const int8_t *rs1, size_t vl);"
     )
-    with pytest.raises(SelectionError, match="ratio 8"):
-        filter_candidates(only_loads, 8)
+    assert ratio_pools(only_loads) == {}
+    with pytest.raises(SelectionError, match="empty candidate set"):
+        select_sequence([], 1, random.Random(0))
 
 
 def reference_can_participate(d, ratio: int) -> bool:
@@ -108,7 +110,7 @@ def reference_can_participate(d, ratio: int) -> bool:
 def test_pools_are_one_pass_views_of_can_participate(fixture, request):
     gen = request.getfixturevalue(fixture)
     for ratio in BOOL_RATIOS:
-        want = [d for d in gen.defs if can_participate(d, ratio)]
+        want = [d for d in gen.defs if ratio in participating_ratios(d)]
         assert want == [d for d in gen.defs if reference_can_participate(d, ratio)]
         got = gen.pool(ratio)
         # the same objects in the same order: select_sequence draws by index
@@ -132,26 +134,23 @@ def test_single_candidate():
     d = parse_prototype(
         "vint8m1_t __riscv_vadd_vv_i8m1(vint8m1_t vs2, vint8m1_t vs1, size_t vl);"
     )
-    cfg = SelectionConfig.from_type_token("i8m1", seq_len=1, rng_seed=7)
-    assert select_sequence([d], cfg) == [d]
+    assert select_sequence([d], 1, random.Random(7)) == [d]
 
 
-def test_determinism(defs):
-    cands = filter_candidates(defs, 8)
-    cfg = SelectionConfig(8, 3, rng_seed=1234)
-    a = [d.full_name for d in select_sequence(cands, cfg)]
-    b = [d.full_name for d in select_sequence(cands, cfg)]
+def test_determinism(gen):
+    cands = gen.pool(8)
+    a = [d.full_name for d in select_sequence(cands, 3, random.Random(1234))]
+    b = [d.full_name for d in select_sequence(cands, 3, random.Random(1234))]
     assert a == b
 
 
-def test_sequences_are_ratio_aligned_by_audit(defs):
+def test_sequences_are_ratio_aligned_by_audit(gen):
     # Definition 2 audit: every drawn op must expose the common ratio, and all
     # fully aligned ops must agree on it.  Quantified over 1,000 random seeds.
     for ratio in (1, 8, 16, 64):
-        cands = filter_candidates(defs, ratio)
+        cands = gen.pool(ratio)
         for seed in range(250):
-            cfg = SelectionConfig(ratio, 10, rng_seed=seed)
-            seq = select_sequence(cands, cfg)
+            seq = select_sequence(cands, 10, random.Random(f"select:{seed}"))
             for d in seq:
                 ratios = signature_ratios(d)
                 assert ratios, d.full_name
@@ -165,9 +164,10 @@ def test_sequences_are_ratio_aligned_by_audit(defs):
                     assert ratio in ratios
 
 
-def test_config_validation():
+def test_config_validation(gen):
     with pytest.raises(SelectionError):
-        SelectionConfig(8, 0)
-    with pytest.raises(SelectionError):
-        SelectionConfig(5, 1)
-    assert SelectionConfig.from_type_token("f32m2", 4).common_ratio == 16
+        gen.build(0, seq_len=0)
+    for token in ("i8m3", "f8m1", "e32m1"):  # the ratio comes from a legal type token
+        with pytest.raises(TypeError_):
+            gen.build(0, ratio_token=token)
+    assert gen.build(0, ratio_token="f32m2", seq_len=4).ratio == 16

@@ -3,13 +3,11 @@ from fractions import Fraction
 import pytest
 
 from rvvfuzz.types import (
-    MachineParams,
     TypeError_,
     VectorType,
     all_bool_types,
     all_tuple_types,
     all_value_types,
-    ratio_of,
     type_at_ratio,
 )
 
@@ -32,7 +30,6 @@ def test_cnames():
     "token,ratio",
     [
         ("f32m2", 16),
-        ("e32m4", 8),
         ("i8mf8", 64),
         ("b8", 8),
         ("i8m1", 8),
@@ -42,7 +39,7 @@ def test_cnames():
     ],
 )
 def test_ratio_of(token, ratio):
-    assert ratio_of(token) == ratio
+    assert VectorType.from_token(token).ratio == ratio
 
 
 def test_illegal_types_rejected():
@@ -55,42 +52,11 @@ def test_illegal_types_rejected():
     with pytest.raises(TypeError_):
         VectorType.from_token("b3")
     with pytest.raises(TypeError_):
+        VectorType.from_token("e32m4")  # a vsetvl shape, not a vector type
+    with pytest.raises(TypeError_):
         VectorType("int", 8, Fraction(1), nf=9)
     with pytest.raises(TypeError_):
         VectorType("int", 8, Fraction(8), nf=2)  # lmul*nf > 8
-
-
-def test_vsetvl_model():
-    m = MachineParams(vlen=128)
-    assert m.vsetvl(1000, "e64m8") == 16
-    assert m.vsetvl(5, "e64m8") == 5
-    assert m.vsetvlmax("e32m2") == 8
-    with pytest.raises(TypeError_):
-        m.vsetvl(-1, "e8m1")
-
-
-def test_vsetvl_bounds_and_ratio_equivalence():
-    m = MachineParams(vlen=256)
-    types = all_value_types() + all_bool_types()
-    for t in types:
-        for avl in (0, 1, 7, 100, 10_000):
-            vl = m.vsetvl(avl, t)
-            assert vl <= avl
-            assert vl <= m.vlmax(t)
-            assert (vl == avl) == (avl <= m.vlmax(t))
-    # equal ratios <=> equal vsetvl results for every avl
-    avls = list(range(0, 40)) + [64, 128, 192, 256, 300, 512]
-    for a in types:
-        for b in types:
-            same = all(m.vsetvl(avl, a) == m.vsetvl(avl, b) for avl in avls)
-            assert same == (a.ratio == b.ratio)
-
-
-def test_vlmax_error_when_below_one():
-    m = MachineParams(vlen=64)
-    assert m.vlmax("i8mf8") == 1
-    with pytest.raises(TypeError_):
-        MachineParams(vlen=64, elen=128)
 
 
 def test_ratio_monotone_in_lmul():
@@ -152,12 +118,12 @@ def test_integer_model_matches_fraction_formulas():
                     cname = f"v{kind}{sew}{_LMUL_TOK[lmul]}" + (f"x{nf}" if nf > 1 else "") + "_t"
                     assert (t.ratio, t.token, t.cname) == (ratio, token, cname)
                     assert t.mask_type == VectorType("bool", bool_ratio=ratio)
-                    assert ratio_of(token) == ratio
+                    assert VectorType.from_token(token).ratio == ratio
     assert legal == len(all_value_types()) + len(all_tuple_types())
     for r in (1, 2, 4, 8, 16, 32, 64):
         b = VectorType("bool", bool_ratio=r)
         assert (b.ratio, b.token, b.cname) == (r, f"b{r}", f"vbool{r}_t")
-        assert ratio_of(f"b{r}") == r
+        assert VectorType.from_token(f"b{r}").ratio == r
 
 
 def test_emul_decisions_match_fraction_formulas():
