@@ -100,16 +100,19 @@ class Catalog:
             self.raw(ret_c, f"{name}_m", [mask_c] + params)
         if not self.policy or not is_vec_ret:
             return
+        # an op that already reads a vd (multiply-add, slide-up) merges into
+        # that same operand, so its policy forms add no second one
+        merged = params if any(p.endswith(" vd") for p in params) else [f"{merge_c} vd"] + params
         if ret.is_bool:
             # compares and mask-producing ops carry only a mu variant
             if mask_c:
-                self.raw(ret_c, f"{name}_mu", [mask_c, f"{merge_c} vd"] + params)
+                self.raw(ret_c, f"{name}_mu", [mask_c] + merged)
             return
         if tail:
-            self.raw(ret_c, f"{name}_tu", [f"{merge_c} vd"] + params)
+            self.raw(ret_c, f"{name}_tu", merged)
         if mask_c:
             for pol in ("tum", "tumu", "mu"):
-                self.raw(ret_c, f"{name}_{pol}", [mask_c, f"{merge_c} vd"] + params)
+                self.raw(ret_c, f"{name}_{pol}", [mask_c] + merged)
 
 
 # ---------------------------------------------------------------------------

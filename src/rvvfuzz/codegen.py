@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .dataflow import OpInstance, SynthIndex, VReg, allocate
 from .intrinsics import IntrinsicDef
@@ -38,6 +38,7 @@ from .semantics import (
     TUPLE_EXTRACT,
     TUPLE_INSERT,
     UNINITIALIZED,
+    VD_INPUT_STEMS,
     semantic_class,
 )
 from .types import (
@@ -69,19 +70,22 @@ class CodegenError(ValueError):
 # scalar data generation
 # ---------------------------------------------------------------------------
 
-_FLOAT_EXP_BITS = {16: 5, 32: 8, 64: 11}
+# IEEE width -> (exponent mask, mantissa mask): a NaN has every exponent
+# bit set and a mantissa other than zero
+_FLOAT_MASKS = {
+    w: ((1 << (w - 1)) - (1 << m), (1 << m) - 1)
+    for w, m in ((16, 10), (32, 23), (64, 52))
+}
 
 
 def _is_nan(bits: int, width: int) -> bool:
-    exp_bits = _FLOAT_EXP_BITS[width]
-    mant_bits = width - 1 - exp_bits
-    exp = (bits >> mant_bits) & ((1 << exp_bits) - 1)
-    mant = bits & ((1 << mant_bits) - 1)
-    return exp == (1 << exp_bits) - 1 and mant != 0
+    exp, mant = _FLOAT_MASKS[width]
+    return (bits & exp) == exp and (bits & mant) != 0
 
 
-@dataclass(frozen=True)
-class ScalarValue:
+class ScalarValue(NamedTuple):
+    """One scalar; a plain tuple, as every array value is one."""
+
     kind: str  # bool | int | uint | float
     width: int
     bits: int  # raw pattern, always non-negative
@@ -93,43 +97,71 @@ class ScalarValue:
         return self.bits
 
 
-def gen_scalar(kind: str, width: int, rng: random.Random) -> ScalarValue:
-    if kind == "bool":
-        if width != 1:
-            raise CodegenError(f"unsupported scalar pair ({kind}, {width})")
-        return ScalarValue(kind, 1, rng.randrange(2))
+_SCALAR_WIDTHS = {"bool": (1,), "int": (8, 16, 32, 64), "uint": (8, 16, 32, 64),
+                  "float": (16, 32, 64)}
+
+
+def _draw_bits(rng: random.Random, width: int, count: int) -> list[int]:
+    """``count`` draws of ``rng.randrange(2 ** width)``, made with the same
+    ``getrandbits`` calls: width + 1 bits, again until below 2 ** width."""
+    getrandbits = rng.getrandbits
+    k, limit = width + 1, 1 << width
+    out = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= limit:
+            r = getrandbits(k)
+        out.append(r)
+    return out
+
+
+def gen_values(kind: str, width: int, count: int, rng: random.Random) -> list[ScalarValue]:
+    """``count`` values of one (kind, width).  Each is one ``randrange`` over
+    the type's range (a signed value's offset is a flip of the sign bit); a
+    NaN pattern becomes +0.0 without a draw of its own."""
+    if width not in _SCALAR_WIDTHS.get(kind, ()):
+        raise CodegenError(f"unsupported scalar pair ({kind}, {width})")
+    bits = _draw_bits(rng, width, count)
+    new = tuple.__new__  # ScalarValue(...) without its Python-level __new__
     if kind == "int":
-        if width not in (8, 16, 32, 64):
-            raise CodegenError(f"unsupported scalar pair ({kind}, {width})")
-        v = rng.randrange(-(1 << (width - 1)), 1 << (width - 1))
-        return ScalarValue(kind, width, v & ((1 << width) - 1))
-    if kind == "uint":
-        if width not in (8, 16, 32, 64):
-            raise CodegenError(f"unsupported scalar pair ({kind}, {width})")
-        return ScalarValue(kind, width, rng.randrange(1 << width))
+        sign = 1 << (width - 1)
+        return [new(ScalarValue, (kind, width, b ^ sign)) for b in bits]
     if kind == "float":
-        if width not in (16, 32, 64):
-            raise CodegenError(f"unsupported scalar pair ({kind}, {width})")
-        bits = rng.randrange(1 << width)
-        if _is_nan(bits, width):
-            bits = 0
-        return ScalarValue(kind, width, bits)
-    raise CodegenError(f"unsupported scalar pair ({kind}, {width})")
+        bits = [0 if _is_nan(b, width) else b for b in bits]
+    return [new(ScalarValue, (kind, width, b)) for b in bits]
+
+
+def gen_scalar(kind: str, width: int, rng: random.Random) -> ScalarValue:
+    """The one-value case of ``gen_values``."""
+    return gen_values(kind, width, 1, rng)[0]
+
+
+def _mask_bytes(count: int, rng: random.Random) -> list[ScalarValue]:
+    """A mask source: int8 bytes of 0 or 1, each one ``randrange(2)``."""
+    new = tuple.__new__
+    return [new(ScalarValue, ("int", 8, b)) for b in _draw_bits(rng, 1, count)]
 
 
 _CTYPE_TO_PAIR = {ctype: pair for pair, ctype in SCALAR_CTYPES.items()}
 _FLOAT_CTYPES = frozenset(c for (kind, _), c in SCALAR_CTYPES.items() if kind == "float")
 
 
+def _int_literals(values: list[ScalarValue], kind: str, width: int) -> str:
+    """The C literals of int or uint values of one width, comma-separated."""
+    if kind == "uint":
+        suffix = "ULL" if width == 64 else "u"
+        return ", ".join([f"{v.bits}{suffix}" for v in values])
+    half, full = 1 << (width - 1), 1 << width
+    vals = [v.bits - full if v.bits >= half else v.bits for v in values]
+    if width != 64:
+        return ", ".join(map(str, vals))
+    # INT64_MIN has no literal: 9223372036854775808LL overflows
+    return ", ".join(["(-9223372036854775807LL - 1)" if x == -half else f"{x}LL"
+                      for x in vals])
+
+
 def render_int(v: ScalarValue) -> str:
-    val = v.value
-    if v.kind == "uint":
-        return f"{val}ULL" if v.width == 64 else f"{val}u"
-    if v.width == 64:
-        if val == -(1 << 63):
-            return "(-9223372036854775807LL - 1)"
-        return f"{val}LL"
-    return str(val)
+    return _int_literals([v], v.kind, v.width)
 
 
 def render_scalar(v: ScalarValue) -> str:
@@ -168,14 +200,20 @@ _MASK_SOURCE_TYPES = {r: type_at_ratio("int", 8, r) for r in BOOL_RATIOS}
 _INDEX_TOKENS = {(eew, r): type_at_ratio("uint", eew, r).token for eew, r in EMUL_TOKENS}
 
 
-def _legal_index_eews(t: VectorType, data_len: int) -> list[int]:
-    """Index widths whose EMUL is legal and whose byte offsets cannot wrap."""
+def index_offset_bits(t: VectorType, data_len: int) -> int:
+    """Bits of the largest byte offset into data_len elements of t: index
+    widths of at least this many bits cannot wrap."""
+    return max(0, (data_len - 1) * (t.sew // 8) * t.nf).bit_length()
+
+
+def _legal_index_eews(t: VectorType, offset_bits: int) -> list[int]:
+    """Index widths whose EMUL is legal and that hold offsets of
+    ``offset_bits`` bits (see ``index_offset_bits``) without wrapping."""
     out = []
-    step = (t.sew // 8) * t.nf
     for eew in (8, 16, 32, 64):
         if (eew, t.ratio) not in _INDEX_TOKENS:
             continue
-        if (data_len - 1) * step > (1 << eew) - 1:
+        if offset_bits > eew:
             continue
         out.append(eew)
     return out
@@ -184,30 +222,27 @@ def _legal_index_eews(t: VectorType, data_len: int) -> list[int]:
 _ADDRESSING = {"unit": "", "strided": "s", "indexed-u": "ux", "indexed-o": "ox"}
 
 
-def _mem_names(op: str, t: VectorType):
-    """Load (op "l") or store (op "s") intrinsic names for type t, as a
-    function of (kind, index eew): ``v{l|s}[s|ux|ox][seg{nf}]{e{sew}|ei{eew}}``."""
+def _mem_name(op: str, t: VectorType, kind: str, eew: int | None = None) -> str:
+    """The load (op "l") or store (op "s") intrinsic of type t for one
+    (kind, index eew): ``v{l|s}[s|ux|ox][seg{nf}]{e{sew}|ei{eew}}``."""
     seg = f"seg{t.nf}" if t.nf > 1 else ""
-    suffix = f"_v_{t.token}"
-
-    def name(kind: str, eew: int | None = None) -> str:
-        width = f"ei{eew}" if eew is not None else f"e{t.sew}"
-        return f"__riscv_v{op}{_ADDRESSING[kind]}{seg}{width}{suffix}"
-
-    return name
+    width = f"ei{eew}" if eew is not None else f"e{t.sew}"
+    return f"__riscv_v{op}{_ADDRESSING[kind]}{seg}{width}_v_{t.token}"
 
 
-def _choose_mem_kind(op: str, t: VectorType, data_len: int, listed, rng) -> tuple[str, int | None]:
-    """Unit-stride always; strided and indexed forms when listed."""
-    name = _mem_names(op, t)
+def mem_kind_choices(op: str, t: VectorType, offset_bits: int,
+                     listed) -> list[tuple[str, int | None]]:
+    """The (kind, index eew) forms a load (op "l") or store (op "s") of t may
+    take: unit-stride always; strided and indexed forms when listed, the
+    indexed ones with index widths that hold ``offset_bits``-bit offsets."""
     kinds: list[tuple[str, int | None]] = [("unit", None)]
-    if name("strided") in listed:
+    if _mem_name(op, t, "strided") in listed:
         kinds.append(("strided", None))
-    for eew in _legal_index_eews(t, data_len):
+    for eew in _legal_index_eews(t, offset_bits):
         for kind in ("indexed-u", "indexed-o"):
-            if name(kind, eew) in listed:
+            if _mem_name(op, t, kind, eew) in listed:
                 kinds.append((kind, eew))
-    return kinds[rng.randrange(len(kinds))]
+    return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +306,15 @@ def build_case(
     pool: Callable[[int], list[IntrinsicDef]],
     seed: int,
     *,
-    listed: set[str],
+    mem_kinds: Callable[[str, VectorType, int], list[tuple[str, int | None]]],
     seq_len,
     data_len,
     ratio_token: str | None,
     coin_bias: float,
 ) -> CaseIR:
     """Phase A for one seed.  ``pool`` maps a ratio to its candidates and
-    ``listed`` holds every listed name; ``pipeline.Generator`` owns both."""
+    ``mem_kinds`` gives ``mem_kind_choices`` over the listed names;
+    ``pipeline.Generator`` owns both."""
     # the shape knobs draw from their own stream so that a replay pinning
     # the recorded values reproduces the exact same case stream below
     cfg_rng = random.Random(f"cfg:{seed}")
@@ -308,7 +344,8 @@ def build_case(
                 arr = ArrayDecl(f"maskin_{reg.id}", src_t, "mask-source", dlen)
                 load_plans[reg.id] = MemPlan(reg, arr, "mask")
             else:
-                kind, eew = _choose_mem_kind("l", t, dlen, listed, rng)
+                kinds = mem_kinds("l", t, dlen)
+                kind, eew = kinds[rng.randrange(len(kinds))]
                 arr = ArrayDecl(f"in_{reg.id}", t, "load-source", dlen * t.nf)
                 load_plans[reg.id] = MemPlan(reg, arr, kind, eew)
             arrays.append(arr)
@@ -317,7 +354,8 @@ def build_case(
             if reg.id in store_plans:
                 continue
             t = reg.vtype
-            kind, eew = _choose_mem_kind("s", t, dlen, listed, rng)
+            kinds = mem_kinds("s", t, dlen)
+            kind, eew = kinds[rng.randrange(len(kinds))]
             arr = ArrayDecl(f"out_{reg.id}", t, "store-destination", dlen * t.nf)
             store_plans[reg.id] = MemPlan(reg, arr, kind, eew)
             arrays.append(arr)
@@ -325,11 +363,9 @@ def build_case(
     # memory initialization, in array declaration order
     for arr in arrays:
         if arr.role == "load-source":
-            arr.values = [
-                gen_scalar(arr.vtype.kind, arr.vtype.sew, rng) for _ in range(arr.length)
-            ]
+            arr.values = gen_values(arr.vtype.kind, arr.vtype.sew, arr.length, rng)
         elif arr.role == "mask-source":
-            arr.values = [ScalarValue("int", 8, rng.randrange(2)) for _ in range(arr.length)]
+            arr.values = _mask_bytes(arr.length, rng)
 
     scalar_args = _draw_scalar_args(ops, dlen, rng)
 
@@ -411,10 +447,6 @@ class ElementState:
     regs: dict[int, list]  # final per-stream-position state per register
 
 
-def _mk(val: str, n: int) -> list[str]:
-    return [val] * n
-
-
 def _and_bit(a: str, b: str) -> str:
     if "A" in (a, b):
         return "A"
@@ -457,6 +489,29 @@ _MASK_LOGIC = {
     "vmorn": lambda a, b: _or_bit(a, _not_bit(b)),
     "vmxnor": lambda a, b: _not_bit(_xor_bit(a, b)),
 }
+# the same functions as tables over every pair of lane states
+_MASK_TABLES = {
+    stem: {(a, b): f(a, b) for a in "01DA" for b in "01DA"}
+    for stem, f in _MASK_LOGIC.items()
+}
+_NOT_BIT = {a: _not_bit(a) for a in "01DA"}
+_DEFINED = frozenset("D01")
+_MERGE_POLICIES = frozenset(("tu", "tum", "tumu", "mu"))
+
+
+def _first_read_state(reg: VReg, load_plans: dict[int, MemPlan], n: int) -> list:
+    """A register's state where the analysis first meets it as an operand."""
+    if reg.from_memory:
+        plan = load_plans[reg.id]
+        if plan.kind == "mask":
+            return [str(v.bits) for v in plan.array.values]
+        if reg.vtype.is_tuple:
+            return [["D"] * n for _ in range(reg.vtype.nf)]
+        return ["D"] * n
+    if reg.vtype.is_tuple:
+        return [["A"] * n for _ in range(reg.vtype.nf)]
+    # read with no prior definition: treat as poisoned
+    return ["A"] * n
 
 
 def analyze_agnostic(
@@ -475,41 +530,28 @@ def analyze_agnostic(
     n = data_len
     regs: dict[int, list] = {}
 
-    def reg_state(reg: VReg) -> list:
-        if reg.id not in regs:
-            if reg.from_memory:
-                plan = load_plans[reg.id]
-                if plan.kind == "mask":
-                    regs[reg.id] = [str(v.bits) for v in plan.array.values]
-                elif reg.vtype.is_tuple:
-                    regs[reg.id] = [["D"] * n for _ in range(reg.vtype.nf)]
-                else:
-                    regs[reg.id] = _mk("D", n)
-            elif reg.vtype.is_tuple:
-                regs[reg.id] = [["A"] * n for _ in range(reg.vtype.nf)]
-            else:
-                # read with no prior definition: treat as poisoned
-                regs[reg.id] = _mk("A", n)
-        return regs[reg.id]
-
     for i, op in enumerate(ops):
         d = op.def_
         klass = semantic_class(d)
         mask_bits = None
         merge = None
         sources: list[list] = []
-        selector = d.stem in SELECTOR_STEMS
+        stem = d.stem
+        selector = stem in SELECTOR_STEMS
+        merges = d.policy in _MERGE_POLICIES
 
         for b, p in zip(op.bound_params, d.params):
-            if isinstance(b, SynthIndex):
-                continue  # vid-derived identity indices
             if not isinstance(b, VReg):
-                continue
-            st = reg_state(b)
+                continue  # scalar slots and vid-derived identity indices
+            st = regs.get(b.id)
+            if st is None:
+                st = regs[b.id] = _first_read_state(b, load_plans, n)
             if p.role == "mask" and not selector:
                 mask_bits = st
-            elif p.name == "vd" and d.policy in ("tu", "tum", "tumu", "mu"):
+            elif merges and p.name == "vd":
                 merge = st
+                if stem in VD_INPUT_STEMS:
+                    sources.append(st)  # the one vd is read and merged into
             else:
                 sources.append(st)
 
@@ -521,31 +563,31 @@ def analyze_agnostic(
             regs[ret.id] = (
                 [["A"] * n for _ in range(ret.vtype.nf)]
                 if ret.vtype.is_tuple
-                else _mk("A", n)
+                else ["A"] * n
             )
             continue
         if klass == SCALAR_INSERT:
-            st = _mk("A", n)
+            st = ["A"] * n
             st[0] = "D"
             regs[ret.id] = st
             continue
         if klass == REDUCTION:
             ok = all(s[0] in ("D", "0", "1") for s in sources[1:]) if len(sources) > 1 else True
-            vs2 = sources[0] if sources else _mk("A", n)
+            vs2 = sources[0] if sources else ["A"] * n
             for p_pos in range(n):
                 m = mask_bits[p_pos] if mask_bits is not None else "1"
                 if m == "A":
                     ok = False
                 elif m != "0" and vs2[p_pos] not in ("D", "0", "1"):
                     ok = False
-            st = _mk("A", n)
+            st = ["A"] * n
             st[0] = "D" if ok else "A"
             regs[ret.id] = st
             continue
         if klass == TUPLE_INSERT:
             idx = int(_op_scalar(op, scalar_args, i))
             dest_src = sources[0]
-            value = sources[1] if len(sources) > 1 else _mk("A", n)
+            value = sources[1] if len(sources) > 1 else ["A"] * n
             new = [list(f) for f in dest_src]
             new[idx] = list(value)
             regs[ret.id] = new
@@ -555,48 +597,56 @@ def analyze_agnostic(
             regs[ret.id] = list(sources[0][idx])
             continue
 
-        # elementwise (covers compares, merges, carries, MACs, broadcasts)
-        is_bool_ret = ret.vtype.is_bool
-        out = []
-        for p_pos in range(n):
-            vals = [s[p_pos] for s in sources]
-            computed_ok = all(v in ("D", "0", "1") for v in vals)
-            if d.stem in _MASK_LOGIC and len(vals) == 2:
-                res = _MASK_LOGIC[d.stem](vals[0], vals[1])
-            elif d.stem == "vmclr":
-                res = "0"
-            elif d.stem == "vmset":
-                res = "1"
-            elif d.stem in ("vmmv",):
-                res = vals[0] if vals else "A"
-            elif d.stem == "vmnot":
-                res = _not_bit(vals[0]) if vals else "A"
+        # elementwise (covers compares, merges, carries, MACs, broadcasts):
+        # the op's lane function, then its mask, then 0/1 fold into D
+        if stem in _MASK_TABLES and len(sources) == 2:
+            table = _MASK_TABLES[stem]
+            out = [table[ab] for ab in zip(*sources)]
+        elif stem == "vmclr":
+            out = ["0"] * n
+        elif stem == "vmset":
+            out = ["1"] * n
+        elif stem == "vmmv":
+            out = list(sources[0]) if sources else ["A"] * n
+        elif stem == "vmnot":
+            out = [_NOT_BIT[v] for v in sources[0]] if sources else ["A"] * n
+        else:
+            # generic: a lane is agnostic where any source lane is (lanes
+            # hold one of D, A, 0 and 1, so "not defined" is "A")
+            agnostic = [s for s in sources if "A" in s]
+            if not agnostic:
+                out = ["D"] * n
+            elif len(agnostic) == 1:
+                out = ["A" if v == "A" else "D" for v in agnostic[0]]
             else:
-                res = "D" if computed_ok else "A"
-            if mask_bits is not None:
-                m = mask_bits[p_pos]
-                inactive = merge[p_pos] if merge is not None else "A"
-                if d.policy in ("m", "tum"):
-                    inactive = "A"
-                if m == "1":
-                    pass
-                elif m == "0":
-                    res = inactive
-                elif m == "D":
-                    # either path may win; defined only if both are
-                    res = "D" if (_defined(res) and _defined(inactive)) else "A"
-                else:
-                    res = "A"
-            if not is_bool_ret and res in ("0", "1"):
-                res = "D"
-            out.append(res)
+                out = ["A" if "A" in lanes else "D" for lanes in zip(*agnostic)]
+        if mask_bits is not None:
+            inactive = merge if merge is not None and d.policy not in ("m", "tum") else None
+            out = _masked(out, mask_bits, inactive)
+        if not ret.vtype.is_bool and ("0" in out or "1" in out):
+            out = ["D" if v == "0" or v == "1" else v for v in out]
         regs[ret.id] = out
 
     return ElementState(regs)
 
 
-def _defined(v: str) -> bool:
-    return v in ("D", "0", "1")
+def _masked(out: list, mask_bits: list, inactive: list | None) -> list:
+    """``out`` under a mask: a 0 lane takes the inactive lane (agnostic
+    without ``inactive``), a lane of unknown mask is defined only if both
+    paths are, and an agnostic mask lane is agnostic."""
+    res = []
+    for p_pos, m in enumerate(mask_bits):
+        if m == "1":
+            res.append(out[p_pos])
+        elif inactive is None:
+            res.append("A")
+        elif m == "0":
+            res.append(inactive[p_pos])
+        elif m == "D":
+            res.append("D" if out[p_pos] in _DEFINED and inactive[p_pos] in _DEFINED else "A")
+        else:
+            res.append("A")
+    return res
 
 
 def _op_scalar(op: OpInstance, scalar_args: dict, op_index: int) -> str:
@@ -623,17 +673,15 @@ def _build_manifest(S, store_plans, state: ElementState):
     for reg in order:
         plan = store_plans[reg.id]
         st = state.regs.get(reg.id)
-        nf = reg.vtype.nf
-        flags: list[bool] = []
+        if not st:
+            continue  # never defined: nothing of the array is printed
+        name, nf = plan.array.name, reg.vtype.nf
         if nf > 1:
-            for p_pos in range(plan.array.length // nf):
-                for f in range(nf):
-                    flags.append(_defined(st[f][p_pos]) if st else False)
+            # field-interleaved: element p_pos * nf + f is field f's lane p_pos
+            lanes = [st[f][p_pos] for p_pos in range(plan.array.length // nf) for f in range(nf)]
         else:
-            flags = [_defined(v) for v in st] if st else [False] * plan.array.length
-        for idx, ok in enumerate(flags):
-            if ok:
-                manifest.append((plan.array.name, idx))
+            lanes = st
+        manifest += [(name, idx) for idx, v in enumerate(lanes) if v in _DEFINED]
     return manifest
 
 
@@ -654,11 +702,10 @@ _PRINT_FMT = {
 _BITS_CTYPE = {w: SCALAR_CTYPES["uint", w] for w in (16, 32, 64)}
 
 # computed NaNs print as zero so payload differences never masquerade as
-# miscompilations; exponent/mantissa masks per IEEE width
+# miscompilations; the exponent/mantissa masks as C literals
 _NAN_MASKS = {
-    16: ("0x7c00u", "0x03ffu"),
-    32: ("0x7f800000u", "0x007fffffu"),
-    64: ("0x7ff0000000000000ull", "0x000fffffffffffffull"),
+    w: tuple(f"0x{m:0{w // 4}x}{'ull' if w == 64 else 'u'}" for m in masks)
+    for w, masks in _FLOAT_MASKS.items()
 }
 
 
@@ -682,21 +729,29 @@ def _array_decl(arr: ArrayDecl) -> str:
         if arr.values is None:
             return (f"static union {{ {bits} b[{arr.length}]; "
                     f"{t.elem_ctype} f[{arr.length}]; }} {arr.name};")
-        vals = ", ".join(f"0x{v.bits:0{t.sew // 4}x}u" for v in arr.values)
+        fmt = f"0x%0{t.sew // 4}xu"
+        vals = ", ".join([fmt % v.bits for v in arr.values])
         return (f"static union {{ {bits} b[{arr.length}]; "
                 f"{t.elem_ctype} f[{arr.length}]; }} {arr.name} = {{ .b = {{{vals}}} }};")
     if arr.values is None:
         return f"static {t.elem_ctype} {arr.name}[{arr.length}];"
-    vals = ", ".join(render_int(v) for v in arr.values)
+    vals = _int_literals(arr.values, t.kind, t.sew)
     return f"static {t.elem_ctype} {arr.name}[{arr.length}] = {{{vals}}};"
+
+
+def _print_parts(arr: ArrayDecl) -> tuple[str, str, str]:
+    """The printf line of element idx of arr is pre, idx, mid, idx, post."""
+    t, name = arr.vtype, arr.name
+    fmt, cast = _PRINT_FMT[t.kind, t.sew]
+    if t.kind == "float":
+        access, close = f"f{t.sew}_print({name}.b[", "])"
+    else:
+        access, close = f"{name}[", "]"
+    return f'    printf("{name}[', f']={fmt}\\n", {cast}{access}', f"{close});"
 
 
 def _ptr_name(arr: ArrayDecl) -> str:
     return f"p_{arr.name}"
-
-
-def _array_base(arr: ArrayDecl) -> str:
-    return f"{arr.name}.f" if arr.vtype.kind == "float" else arr.name
 
 
 def _index_expr(t: VectorType, eew: int, step: int) -> str:
@@ -720,7 +775,7 @@ def _mem_call(op: str, plan: MemPlan) -> str:
     if op == "s":
         args.append(plan.reg.name)
     args.append("vl")
-    return f"{_mem_names(op, t)(plan.kind, plan.index_eew)}({', '.join(args)})"
+    return f"{_mem_name(op, t, plan.kind, plan.index_eew)}({', '.join(args)})"
 
 
 # A statement as (the register it assigns or None, its line when that
@@ -754,7 +809,7 @@ def _op_stmt(op: OpInstance, i: int, scalar_args: dict) -> _Stmt:
         else:
             a = scalar_args[(i, j)]
             args.append(render_scalar(a) if isinstance(a, ScalarValue) else str(a))
-    call = f"__riscv_{d.full_name[len('__riscv_'):]}({', '.join(args)})"
+    call = f"{d.full_name}({', '.join(args)})"
     ret = op.bound_return
     if ret is None:
         if d.return_kind == "void":
@@ -771,7 +826,7 @@ def _op_stmt(op: OpInstance, i: int, scalar_args: dict) -> _Stmt:
 @dataclass
 class _RenderedCase:
     head: str  # up to the loop's vsetvl line
-    stmts: dict[tuple[str, int, int], _Stmt]  # by (kind, op index, intra index)
+    stmts: dict[tuple[str, int, int], _Stmt]  # by schedule item: (kind, op, intra index)
     tail: str  # from the pointer bumps to the end
 
 
@@ -792,14 +847,17 @@ def _render(ir: CaseIR) -> _RenderedCase:
         for op in ir.ops
     )
 
-    out: list[str] = []
+    # per array: its declaration, its pointer and the pointer's bump
+    pointers, bumps = [], []
+    out: list[str] = ["#include <riscv_vector.h>", "#include <stdint.h>", "#include <stdio.h>", ""]
     w = out.append
-    w("#include <riscv_vector.h>")
-    w("#include <stdint.h>")
-    w("#include <stdio.h>")
-    w("")
     for arr in ir.arrays:
         w(_array_decl(arr))
+        t, ptr = arr.vtype, _ptr_name(arr)
+        const = "const " if arr.role != "store-destination" else ""
+        base = f"{arr.name}.f" if t.kind == "float" else arr.name
+        pointers.append(f"    {const}{t.elem_ctype} *{ptr} = {base};")
+        bumps.append(f"{ptr} += vl * {t.nf};" if t.nf > 1 else f"{ptr} += vl;")
     if needs_int_sink:
         w("static volatile long long int_sink;")
     if needs_fp_sink:
@@ -809,17 +867,13 @@ def _render(ir: CaseIR) -> _RenderedCase:
         w(f"static inline {ftype} f{width}_bits({bits} b) "
           f"{{ union {{ {bits} b; {ftype} f; }} u; u.b = b; return u.f; }}")
     arrays_by_name = {arr.name: arr for arr in ir.arrays}
-    printed_float_widths = sorted(
-        {arrays_by_name[name].vtype.sew for name, _ in ir.manifest
-         if arrays_by_name[name].vtype.kind == "float"}
-    )
+    printed = [arrays_by_name[name] for name in dict.fromkeys(name for name, _ in ir.manifest)]
+    printed_float_widths = sorted({a.vtype.sew for a in printed if a.vtype.kind == "float"})
     for width in printed_float_widths:
         w(_print_helper(width))
     w("")
     w("int main(void) {")
-    for arr in ir.arrays:
-        const = "const " if arr.role != "store-destination" else ""
-        w(f"    {const}{arr.vtype.elem_ctype} *{_ptr_name(arr)} = {_array_base(arr)};")
+    out += pointers
     w(f"    size_t avl = {ir.data_len};")
     w("    for (size_t vl; avl > 0; avl -= vl) {")
     w(f"        vl = __riscv_vsetvl_{ir.vsetvl_token}(avl);")
@@ -838,24 +892,16 @@ def _render(ir: CaseIR) -> _RenderedCase:
 
     out = []
     w = out.append
-    bumps = []
-    for arr in ir.arrays:
-        nf = arr.vtype.nf
-        bumps.append(f"{_ptr_name(arr)} += vl{f' * {nf}' if nf > 1 else ''};")
     if bumps:
         w(f"        {' '.join(bumps)}")
     w("    }")
 
     if not ir.manifest:
         w('    printf("none\\n");')
+    parts = {arr.name: _print_parts(arr) for arr in printed}
     for name, idx in ir.manifest:
-        arr = arrays_by_name[name]
-        fmt, cast = _PRINT_FMT[(arr.vtype.kind, arr.vtype.sew)]
-        if arr.vtype.kind == "float":
-            access = f"f{arr.vtype.sew}_print({name}.b[{idx}])"
-        else:
-            access = f"{name}[{idx}]"
-        w(f'    printf("{name}[{idx}]={fmt}\\n", {cast}{access});')
+        pre, mid, post = parts[name]
+        w(f"{pre}{idx}{mid}{idx}{post}")
     w("    return 0;")
     w("}")
     w("")
@@ -873,7 +919,7 @@ def emit_case(ir: CaseIR, mode: str) -> ProgramCase:
     lines = [text.head]
     declared: set[int] = set()
     for item in schedule.items:
-        reg, declaring, assigning = text.stmts[item.kind, item.op_index, item.intra_index]
+        reg, declaring, assigning = text.stmts[item]
         if reg is None or reg in declared:
             lines.append(assigning)
         else:

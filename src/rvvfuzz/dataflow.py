@@ -94,36 +94,3 @@ def allocate(
 
     return ops
 
-
-def scan_dependencies(ops: list[OpInstance]) -> set[str]:
-    """Which of the four dependency scenarios the bound sequence realizes."""
-    accesses: dict[int, list[tuple[int, str]]] = {}
-    for i, op in enumerate(ops):
-        for reg in op.reads:
-            accesses.setdefault(reg.id, []).append((i, "read"))
-        if op.bound_return is not None:
-            accesses.setdefault(op.bound_return.id, []).append((i, "write"))
-    found: set[str] = set()
-    for events in accesses.values():
-        for a in range(len(events)):
-            for b in range(a + 1, len(events)):
-                (i, ka), (j, kb) = events[a], events[b]
-                if i == j:
-                    continue
-                found.add(f"{ka}-{kb}")
-    return found
-
-
-def use_define_violations(ops: list[OpInstance]) -> list[str]:
-    """Registers read before any definition (load for _mem, else a return)."""
-    defined: set[int] = set()
-    problems: list[str] = []
-    for i, op in enumerate(ops):
-        for reg in op.reads:
-            if reg.from_memory:
-                defined.add(reg.id)  # backing load precedes first use
-            elif reg.id not in defined:
-                problems.append(f"op {i} reads {reg.name} before definition")
-        if op.bound_return is not None:
-            defined.add(op.bound_return.id)
-    return problems

@@ -112,14 +112,6 @@ def decode_name(full_name: str) -> NameParts:
                      tuple(pieces[first_type:end_type]), "_".join(rest))
 
 
-def render_name(parts: NameParts) -> str:
-    pieces = [parts.mnemonic]
-    pieces.extend(parts.type_tokens)
-    if parts.policy:
-        pieces.append(parts.policy)
-    return parts.prefix + "_".join(pieces)
-
-
 @dataclass(frozen=True)
 class Param:
     name: str
@@ -141,6 +133,8 @@ class IntrinsicDef:
     # derived from name_parts once: the generator reads them per operand
     stem: str = field(init=False, repr=False, compare=False)
     policy: str = field(init=False, repr=False, compare=False)
+    # semantics.semantic_class fills it on first use, not at parse time
+    sem_class: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.stem = self.name_parts.mnemonic.split("_", 1)[0]

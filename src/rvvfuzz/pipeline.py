@@ -4,16 +4,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import build_listing
-from .codegen import CaseIR, ProgramCase, build_case, emit_case
+from .codegen import (
+    CaseIR,
+    ProgramCase,
+    build_case,
+    emit_case,
+    index_offset_bits,
+    mem_kind_choices,
+)
 from .difftest import CompilerConfig, compare, report, run_case
 from .intrinsics import IntrinsicDef, parse_definitions
 from .oracle import OracleUnsupported, evaluate
 from .scheduling import MODES
 from .selection import SelectionError, ratio_pools
+from .types import VectorType
 
 
 class SelfCheckError(AssertionError):
@@ -43,10 +52,13 @@ class RunConfig:
 
 class Generator:
     """The one way to build cases: owns the parsed definitions, the listed
-    names and the per-ratio candidate pools (all filled at construction)."""
+    names, the per-ratio candidate pools (all filled at construction) and
+    the load/store forms per type and offset width (filled on first use)."""
 
     def __init__(self, listing_text: str, *, seq_len=10, data_len=10,
                  ratio_type: str | None = None, coin_bias: float = 0.5):
+        if ratio_type is not None:
+            VectorType.from_token(ratio_type)  # a bad token fails before any seed
         self.listing_text = listing_text
         self.listing_sha = hashlib.sha256(listing_text.encode()).hexdigest()
         self.defs: list[IntrinsicDef] = parse_definitions(listing_text)
@@ -56,6 +68,7 @@ class Generator:
         self.ratio_type = ratio_type
         self.coin_bias = coin_bias
         self._pools = ratio_pools(self.defs)
+        self._mem_kinds: dict[tuple[str, str, int], list[tuple[str, int | None]]] = {}
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "Generator":
@@ -72,6 +85,16 @@ class Generator:
             raise SelectionError(f"ratio {ratio} admits no operation intrinsics")
         return pool
 
+    def mem_kinds(self, op: str, t: VectorType, data_len: int) -> list[tuple[str, int | None]]:
+        """``codegen.mem_kind_choices`` over the listed names, worked out once
+        per (op, type, offset width): the arguments it depends on."""
+        bits = index_offset_bits(t, data_len)
+        key = (op, t.token, bits)
+        kinds = self._mem_kinds.get(key)
+        if kinds is None:
+            kinds = self._mem_kinds[key] = mem_kind_choices(op, t, bits, self.listed)
+        return kinds
+
     def build(self, seed: int, **overrides) -> CaseIR:
         kw = dict(
             seq_len=self.seq_len,
@@ -80,7 +103,7 @@ class Generator:
             coin_bias=self.coin_bias,
         )
         kw.update(overrides)
-        ir = build_case(self.pool, seed, listed=self.listed, **kw)
+        ir = build_case(self.pool, seed, mem_kinds=self.mem_kinds, **kw)
         ir.snapshot["listing_sha256"] = self.listing_sha
         return ir
 
@@ -110,18 +133,26 @@ def self_check(cases: list[ProgramCase], vlen: int) -> bool:
     return True
 
 
-def write_case(case: ProgramCase, out_dir: str | Path) -> tuple[Path, Path]:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    src = out / f"{case.name}.c"
-    src.write_text(case.source, encoding="utf-8")
-    sidecar = out / f"{case.name}.json"
+def write_case(case: ProgramCase, out_dir: str | Path) -> tuple[str, str]:
+    """Write ``<name>.c`` and its ``<name>.json`` sidecar into ``out_dir``,
+    creating the directory when it is missing; returns both paths."""
+    source = case.source.encode()
     meta = {
         "snapshot": case.snapshot,
         "manifest_len": len(case.manifest),
-        "source_sha256": hashlib.sha256(case.source.encode()).hexdigest(),
+        "source_sha256": hashlib.sha256(source).hexdigest(),
     }
-    sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    base = os.path.join(out_dir, case.name)
+    src, sidecar = base + ".c", base + ".json"
+    try:
+        fh = open(src, "wb")
+    except FileNotFoundError:
+        os.makedirs(out_dir, exist_ok=True)
+        fh = open(src, "wb")
+    with fh:
+        fh.write(source)
+    with open(sidecar, "wb") as fh:
+        fh.write((json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
     return src, sidecar
 
 

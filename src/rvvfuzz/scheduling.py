@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 from .dataflow import OpInstance, VReg
 
 MODES = ("allin", "unit", "random")
 
 
-@dataclass(frozen=True)
-class ScheduleItem:
+class ScheduleItem(NamedTuple):
+    """A plain tuple, so an item is also its statement's key."""
+
     kind: str  # "load" | "op" | "store"
     op_index: int
     intra_index: int = 0
@@ -56,12 +59,22 @@ def derive_prefix_suffix(
     return P, S
 
 
+# Items are immutable, so every schedule shares the same ones
+@cache
+def _ops(count: int) -> tuple[ScheduleItem, ...]:
+    return tuple(ScheduleItem("op", i) for i in range(count))
+
+
+@cache
+def _run(kind: str, op_index: int, count: int) -> tuple[ScheduleItem, ...]:
+    """The items of one op's prefix ("load") or suffix ("store")."""
+    return tuple(ScheduleItem(kind, op_index, k) for k in range(count))
+
+
 def _items(P, S):
-    N = len(P)
-    ops = [ScheduleItem("op", i) for i in range(N)]
-    loads = [[ScheduleItem("load", i, k) for k in range(len(P[i]))] for i in range(N)]
-    stores = [[ScheduleItem("store", i, k) for k in range(len(S[i]))] for i in range(N)]
-    return ops, loads, stores
+    loads = [_run("load", i, len(p)) for i, p in enumerate(P)]
+    stores = [_run("store", i, len(s)) for i, s in enumerate(S)]
+    return _ops(len(P)), loads, stores
 
 
 def schedule_allin(P, S) -> Schedule:
@@ -120,32 +133,3 @@ def build_schedule(P, S, mode: str, rng: random.Random | None = None) -> Schedul
         return schedule_random(P, S, rng)
     raise ValueError(f"unknown scheduling mode {mode!r}")
 
-
-def check_constraints(schedule: Schedule, P, S) -> str | None:
-    """None when the schedule is legal, else a description of the first
-    violated ordering pair."""
-    N = len(P)
-    items = schedule.items
-    want = {("op", i, 0) for i in range(N)}
-    want |= {("load", i, k) for i in range(N) for k in range(len(P[i]))}
-    want |= {("store", i, k) for i in range(N) for k in range(len(S[i]))}
-    got = [(it.kind, it.op_index, it.intra_index) for it in items]
-    if len(got) != len(set(got)) or set(got) != want:
-        return "item multiset mismatch"
-
-    pos = {key: idx for idx, key in enumerate(got)}
-    for i in range(N):
-        if i and pos[("op", i - 1, 0)] > pos[("op", i, 0)]:
-            return f"op order: op {i - 1} after op {i}"
-        op_at = pos[("op", i, 0)]
-        for k in range(len(P[i])):
-            if pos[("load", i, k)] > op_at:
-                return f"prefix after op: P[{i}][{k}]"
-            if k and pos[("load", i, k - 1)] > pos[("load", i, k)]:
-                return f"prefix order: P[{i}][{k - 1}] after P[{i}][{k}]"
-        for k in range(len(S[i])):
-            if pos[("store", i, k)] < op_at:
-                return f"suffix before op: S[{i}][{k}]"
-            if k and pos[("store", i, k - 1)] > pos[("store", i, k)]:
-                return f"suffix order: S[{i}][{k - 1}] after S[{i}][{k}]"
-    return None

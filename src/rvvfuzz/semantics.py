@@ -50,8 +50,29 @@ _LANE_LOCAL_STEMS = frozenset(
 # mask operand consumed as data (selector/carry), not as an execution mask
 SELECTOR_STEMS = frozenset({"vmerge", "vfmerge", "vadc", "vsbc", "vmadc", "vmsbc"})
 
+# ops that read their vd (the multiply-add accumulator, the slide-up
+# background); under a tu/mu policy that one vd is also the merge operand
+VD_INPUT_STEMS = frozenset(
+    {
+        "vmacc", "vnmsac", "vmadd", "vnmsub",
+        "vwmacc", "vwmaccu", "vwmaccsu", "vwmaccus",
+        "vfmacc", "vfnmacc", "vfmsac", "vfnmsac",
+        "vfmadd", "vfnmadd", "vfmsub", "vfnmsub",
+        "vfwmacc", "vfwnmacc", "vfwmsac", "vfwnmsac",
+        "vslideup",
+    }
+)
+
 
 def semantic_class(d: IntrinsicDef) -> str:
+    """The class of ``d``, worked out on first use and kept on the def."""
+    klass = d.sem_class
+    if klass is None:
+        klass = d.sem_class = _classify(d)
+    return klass
+
+
+def _classify(d: IntrinsicDef) -> str:
     if is_always_undefined(d):
         return UNINITIALIZED
     stem = d.stem

@@ -113,8 +113,9 @@ class VectorType:
     def is_tuple(self) -> bool:
         return self.nf > 1
 
-    # ratio, token, cname and mask_type are computed once per instance; the
-    # cached values live in the instance __dict__, outside equality and hash
+    # ratio, token, cname, elem_ctype and mask_type are computed once per
+    # instance; the cached values live in the instance __dict__, outside
+    # equality and hash
     @cached_property
     def ratio(self) -> int:
         if self.is_bool:
@@ -138,7 +139,7 @@ class VectorType:
             base += f"x{self.nf}"
         return base + "_t"
 
-    @property
+    @cached_property
     def elem_ctype(self) -> str:
         """The scalar C type of one element (bool elements have none)."""
         if self.is_bool:

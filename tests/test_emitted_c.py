@@ -19,8 +19,7 @@ CC = shutil.which("clang") or shutil.which("cc") or shutil.which("gcc")
 pytestmark = pytest.mark.skipif(CC is None, reason="no host C compiler")
 
 
-@pytest.fixture(scope="module")
-def stub_dir(tmp_path_factory, catalog_listing):
+def _stub_dir(tmp_path_factory, listing: str):
     d = tmp_path_factory.mktemp("rvv_stub")
     hdr = [
         "#ifndef RVV_STUB_H",
@@ -34,10 +33,20 @@ def stub_dir(tmp_path_factory, catalog_listing):
             for i, n in enumerate(("RNE", "RTZ", "RDN", "RUP", "RMM"))]
     hdr += [f"#define __RISCV_VXRM_{n} {i}"
             for i, n in enumerate(("RNU", "RNE", "RDN", "ROD"))]
-    hdr += catalog_listing.splitlines()
+    hdr += listing.splitlines()
     hdr.append("#endif")
     (d / "riscv_vector.h").write_text("\n".join(hdr) + "\n")
     return d
+
+
+@pytest.fixture(scope="module")
+def stub_dir(tmp_path_factory, catalog_listing):
+    return _stub_dir(tmp_path_factory, catalog_listing)
+
+
+@pytest.fixture(scope="module")
+def policy_stub_dir(tmp_path_factory, policy_listing):
+    return _stub_dir(tmp_path_factory, policy_listing)
 
 
 def _syntax_check(source: str, name: str, stub_dir) -> str | None:
@@ -73,6 +82,18 @@ def test_long_sequences_typecheck(stub_dir, catalog_listing):
     for seed in range(100, 106):
         case = emit_case(gen.build(seed), "random")
         err = _syntax_check(case.source, case.name, stub_dir)
+        if err:
+            failures.append(f"{case.name}:\n{err[:800]}")
+    assert not failures, "\n".join(failures)
+
+
+def test_policy_programs_typecheck(policy_stub_dir, policy_gen):
+    """Policy-listing seeds, whose masked merges pass vd, against a header
+    of the whole policy listing (which must itself be valid C)."""
+    failures = []
+    for seed in range(8):
+        case = emit_case(policy_gen.build(seed), "random")
+        err = _syntax_check(case.source, case.name, policy_stub_dir)
         if err:
             failures.append(f"{case.name}:\n{err[:800]}")
     assert not failures, "\n".join(failures)

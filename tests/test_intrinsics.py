@@ -15,8 +15,9 @@ from rvvfuzz.intrinsics import (
     is_reduction,
     parse_definitions,
     parse_prototype,
-    render_name,
 )
+
+from reference import render_name
 
 
 def test_decode_policy_variant():

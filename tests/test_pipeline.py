@@ -1,3 +1,4 @@
+import hashlib
 import json
 import stat
 from pathlib import Path
@@ -64,11 +65,27 @@ def test_self_check_detects_tampering(gen):
 def test_write_case_sidecar(gen, tmp_path):
     case = gen.cases(4)[0]
     src, sidecar = write_case(case, tmp_path)
-    assert src.read_text() == case.source
-    meta = json.loads(sidecar.read_text())
+    assert Path(src).read_text() == case.source
+    meta = json.loads(Path(sidecar).read_text())
     assert meta["snapshot"]["seed"] == 4
     assert meta["snapshot"]["mode"] == "allin"
     assert len(meta["source_sha256"]) == 64
+
+
+def test_write_case_into_missing_nested_dir(gen, tmp_path):
+    out = tmp_path / "a" / "b"
+    for case in gen.cases(5):
+        src, sidecar = write_case(case, out)
+        assert Path(src).read_bytes() == case.source.encode()
+        meta = {
+            "snapshot": case.snapshot,
+            "manifest_len": len(case.manifest),
+            "source_sha256": hashlib.sha256(case.source.encode()).hexdigest(),
+        }
+        want = json.dumps(meta, indent=2, sort_keys=True) + "\n"
+        assert Path(sidecar).read_bytes() == want.encode()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        f"case_5_{m}.{ext}" for m in ("allin", "unit", "random") for ext in ("c", "json"))
 
 
 def test_fuzz_seed_with_mock(gen, tmp_path):

@@ -8,12 +8,13 @@ from rvvfuzz.scheduling import (
     Schedule,
     ScheduleItem,
     build_schedule,
-    check_constraints,
     derive_prefix_suffix,
     schedule_allin,
     schedule_random,
     schedule_unit,
 )
+
+from reference import check_constraints
 
 
 def _fake_ps(p_sizes, s_sizes):

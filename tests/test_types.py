@@ -154,7 +154,8 @@ def test_emul_decisions_match_fraction_formulas():
                 if Fraction(1, 8) <= Fraction(eew, t.ratio) <= 8
                 and (data_len - 1) * step <= (1 << eew) - 1
             ]
-            assert codegen._legal_index_eews(t, data_len) == expected
+            bits = codegen.index_offset_bits(t, data_len)
+            assert codegen._legal_index_eews(t, bits) == expected
 
 
 def test_parsed_types_are_interned():
