@@ -8,6 +8,7 @@ import json
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 from .catalog import build_listing
@@ -128,31 +129,29 @@ def cmd_fuzz(args) -> int:
     gen = Generator.from_config(cfg)
 
     out_dir = Path(cfg.out_dir)
-    seeds = list(cfg.seed_range())
+    seeds = cfg.seed_range()
 
-    def one(seed: int):
+    def one(seed: int) -> list[Verdict]:
+        """The seed's verdicts; its outcomes (stdout, diagnostics) go with
+        the call, so a campaign holds no more of them than it runs at once."""
         try:
             return fuzz_seed(
                 gen, seed, configs, out_dir / f"seed_{seed}",
                 modes=cfg.modes, vlen=cfg.vlen, do_self_check=cfg.self_check,
-            )
+            )[0]
         except SelfCheckError:
             raise  # a generator bug: stop the campaign
         except Exception as e:
             # one bad seed is a finding, never the end of the campaign
             print(f"seed {seed}: harness error", file=sys.stderr)
             traceback.print_exc()
-            return [Verdict(seed, "HarnessError", "", (), f"{type(e).__name__}: {e}")], []
+            return [Verdict(seed, "HarnessError", "", (), f"{type(e).__name__}: {e}")]
 
     all_verdicts = []
     jobs = max(1, args.jobs)
-    if jobs == 1:
-        results = [one(s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, seeds))
-    for verdicts, _ in results:
-        all_verdicts.extend(verdicts)
+    with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        for verdicts in (pool.map if pool else map)(one, seeds):
+            all_verdicts.extend(verdicts)
 
     report_path = Path(args.report) if args.report else out_dir / "report.jsonl"
     report_path.parent.mkdir(parents=True, exist_ok=True)
@@ -167,12 +166,12 @@ def cmd_coverage(args) -> int:
     cfg = _load_config(args)
     gen = Generator.from_config(cfg)
     if args.corpus_dir:
-        corpus = [p.read_text(encoding="utf-8")
-                  for p in sorted(Path(args.corpus_dir).glob("*.c"))]
-        if not corpus:
+        paths = sorted(Path(args.corpus_dir).glob("*.c"))
+        if not paths:
             raise HarnessConfigError(f"no .c files under {args.corpus_dir}")
+        corpus = (p.read_text(encoding="utf-8") for p in paths)
     else:
-        corpus = [gen.case(seed, cfg.modes[0]).source for seed in cfg.seed_range()]
+        corpus = (gen.case(seed, cfg.modes[0]).source for seed in cfg.seed_range())
     rep = compute_coverage(corpus, gen.defs)
     breakdown = category_breakdown(rep, gen.defs)
     sys.stdout.write(format_report(rep, breakdown))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .intrinsics import IntrinsicDef, is_reduction
@@ -90,38 +90,39 @@ class CoverageReport:
         return sum(w for _, w, _ in self.per_intrinsic.values())
 
 
-def count_names(corpus: Iterable[str], names: set[str]) -> Counter:
-    counts: Counter = Counter()
-    for text in corpus:
-        for tok in _IDENT_RE.findall(text):
-            if tok in names:
-                counts[tok] += 1
-    return counts
-
-
 def compute_coverage(corpus: Iterable[str], defs: list[IntrinsicDef]) -> CoverageReport:
+    """Coverage of ``defs`` (distinct names, as parsed from a listing) by
+    ``corpus``, read once: any iterable of program texts."""
     if not defs:
         raise CoverageError("empty definition list")
-    names = {d.full_name for d in defs}
-    corpus = list(corpus)
-    counts = count_names(corpus, names)
+    counts: Counter = Counter()
+    corpus_size = 0
+    for text in corpus:
+        counts.update(_IDENT_RE.findall(text))
+        corpus_size += 1
 
     per: dict[str, tuple[int, int, int]] = {}
+    uncovered: dict[int, tuple[int, int, int]] = {}  # weight -> (0, weight, 0)
     naming: dict[str, list[int]] = {}
+    covered = weight_total = 0
     for d in defs:
-        c = counts.get(d.full_name, 0)
         w = d.alias_count
-        contrib = min(c, w)
-        per[d.full_name] = (c, w, contrib)
+        c = counts.get(d.full_name, 0)
+        if c:
+            contrib = min(c, w)
+            per[d.full_name] = (c, w, contrib)
+            covered += contrib
+        else:
+            contrib = 0
+            per[d.full_name] = uncovered.setdefault(w, (0, w, 0))
+        weight_total += w
         acc = naming.setdefault(d.naming_category, [0, 0])
         acc[0] += contrib
         acc[1] += w
-    weight_total = sum(w for _, w, _ in per.values())
-    covered = sum(x for _, _, x in per.values())
     naming_totals = {
         k: (a, b, a / b if b else 0.0) for k, (a, b) in sorted(naming.items())
     }
-    return CoverageReport(per, covered / weight_total, naming_totals, len(corpus))
+    return CoverageReport(per, covered / weight_total, naming_totals, corpus_size)
 
 
 def category_breakdown(

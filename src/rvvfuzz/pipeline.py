@@ -18,7 +18,7 @@ from .codegen import (
     mem_kind_choices,
 )
 from .difftest import CompilerConfig, compare, report, run_case
-from .intrinsics import IntrinsicDef, parse_definitions
+from .intrinsics import IntrinsicDef, parse_index
 from .oracle import OracleUnsupported, evaluate
 from .scheduling import MODES
 from .selection import SelectionError, ratio_pools
@@ -51,18 +51,18 @@ class RunConfig:
 
 
 class Generator:
-    """The one way to build cases: owns the parsed definitions, the listed
-    names, the per-ratio candidate pools (all filled at construction) and
-    the load/store forms per type and offset width (filled on first use)."""
+    """The one way to build cases: owns the parsed definitions, indexed by
+    name in ``listed``, the per-ratio candidate pools (all filled at
+    construction) and the load/store forms per type and offset width
+    (filled on first use)."""
 
     def __init__(self, listing_text: str, *, seq_len=10, data_len=10,
                  ratio_type: str | None = None, coin_bias: float = 0.5):
         if ratio_type is not None:
             VectorType.from_token(ratio_type)  # a bad token fails before any seed
-        self.listing_text = listing_text
         self.listing_sha = hashlib.sha256(listing_text.encode()).hexdigest()
-        self.defs: list[IntrinsicDef] = parse_definitions(listing_text)
-        self.listed = {d.full_name for d in self.defs}
+        self.listed: dict[str, IntrinsicDef] = parse_index(listing_text)
+        self.defs: list[IntrinsicDef] = list(self.listed.values())
         self.seq_len = seq_len
         self.data_len = data_len
         self.ratio_type = ratio_type
@@ -133,26 +133,45 @@ def self_check(cases: list[ProgramCase], vlen: int) -> bool:
     return True
 
 
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_CLOEXEC", 0)
+
+
+def _write_file(path: str, data: bytes) -> None:
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+# The sidecar's snapshot object as ``indent=2`` lays it out one level deep,
+# from the C encoder: ``indent`` itself selects json's pure-Python encoder
+_encode_snapshot = json.JSONEncoder(sort_keys=True, separators=(",\n    ", ": ")).encode
+
+
+def _sidecar_bytes(case: ProgramCase, source_sha256: str) -> bytes:
+    """``json.dumps(meta, indent=2, sort_keys=True) + "\n"`` of the sidecar
+    ``meta`` (manifest length, snapshot, source hash), for a non-empty
+    snapshot of scalars, as ``build_case`` makes it."""
+    snap = _encode_snapshot(case.snapshot)[1:-1]
+    return (f'{{\n  "manifest_len": {len(case.manifest)},\n  "snapshot": {{\n    {snap}\n  }},\n'
+            f'  "source_sha256": "{source_sha256}"\n}}\n').encode()
+
+
 def write_case(case: ProgramCase, out_dir: str | Path) -> tuple[str, str]:
     """Write ``<name>.c`` and its ``<name>.json`` sidecar into ``out_dir``,
     creating the directory when it is missing; returns both paths."""
     source = case.source.encode()
-    meta = {
-        "snapshot": case.snapshot,
-        "manifest_len": len(case.manifest),
-        "source_sha256": hashlib.sha256(source).hexdigest(),
-    }
     base = os.path.join(out_dir, case.name)
     src, sidecar = base + ".c", base + ".json"
     try:
-        fh = open(src, "wb")
+        _write_file(src, source)
     except FileNotFoundError:
         os.makedirs(out_dir, exist_ok=True)
-        fh = open(src, "wb")
-    with fh:
-        fh.write(source)
-    with open(sidecar, "wb") as fh:
-        fh.write((json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        _write_file(src, source)
+    _write_file(sidecar, _sidecar_bytes(case, hashlib.sha256(source).hexdigest()))
     return src, sidecar
 
 

@@ -6,9 +6,15 @@ plainest form, so that a test can hold the pipeline's fast paths to it.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
+from collections import Counter
+
 from rvvfuzz.codegen import _MASK_LOGIC, ElementState, _not_bit, _op_scalar
+from rvvfuzz.coverage import CoverageReport
 from rvvfuzz.dataflow import OpInstance, SynthIndex, VReg
-from rvvfuzz.intrinsics import NameParts
+from rvvfuzz.intrinsics import IntrinsicDef, NameParts
 from rvvfuzz.scheduling import Schedule
 from rvvfuzz.semantics import (
     LANE_LOCAL,
@@ -225,3 +231,41 @@ def analyze_agnostic_per_lane(ops, load_plans, scalar_args, data_len: int) -> El
         regs[ret.id] = out
 
     return ElementState(regs)
+
+
+def compute_coverage(corpus, defs: list[IntrinsicDef]) -> CoverageReport:
+    """Coverage as a set of listed names, the listed occurrences counted,
+    then one record per name and totals summed from the records."""
+    names = {d.full_name for d in defs}
+    corpus = list(corpus)
+    counts: Counter = Counter()
+    for text in corpus:
+        for tok in re.findall(r"__riscv_\w+", text):
+            if tok in names:
+                counts[tok] += 1
+    per: dict[str, tuple[int, int, int]] = {}
+    naming: dict[str, list[int]] = {}
+    for d in defs:
+        c = counts.get(d.full_name, 0)
+        w = d.alias_count
+        contrib = min(c, w)
+        per[d.full_name] = (c, w, contrib)
+        acc = naming.setdefault(d.naming_category, [0, 0])
+        acc[0] += contrib
+        acc[1] += w
+    weight_total = sum(w for _, w, _ in per.values())
+    covered = sum(x for _, _, x in per.values())
+    naming_totals = {
+        k: (a, b, a / b if b else 0.0) for k, (a, b) in sorted(naming.items())
+    }
+    return CoverageReport(per, covered / weight_total, naming_totals, len(corpus))
+
+
+def sidecar_bytes(case) -> bytes:
+    """A case's sidecar as ``json.dumps`` lays it out with ``indent=2``."""
+    meta = {
+        "snapshot": case.snapshot,
+        "manifest_len": len(case.manifest),
+        "source_sha256": hashlib.sha256(case.source.encode()).hexdigest(),
+    }
+    return (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()

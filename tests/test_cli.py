@@ -250,6 +250,13 @@ def test_coverage_command(tmp_path, listing_file, capsys):
     assert recs[-1]["corpus_size"] == 6
 
 
+def test_coverage_of_an_empty_corpus_dir_exits_two(tmp_path, listing_file, capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["coverage", "--listing", listing_file, "--corpus-dir", str(empty)]) == 2
+    assert "no .c files" in capsys.readouterr().err
+
+
 def test_listing_command(tmp_path):
     out = tmp_path / "listing.txt"
     assert main(["listing", "-o", str(out)]) == 0
@@ -307,3 +314,42 @@ def test_fuzz_bad_ratio_type_exits_two_before_any_seed(tmp_path, listing_file, t
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not report.exists() and not out.exists()
+
+
+def test_fuzz_drops_each_seeds_outcomes(tmp_path, listing_file, monkeypatch):
+    """A seed's run outcomes (stdout, diagnostics) are gone once its
+    verdicts are taken, so a campaign's memory does not grow with its
+    length."""
+    import weakref
+
+    from rvvfuzz import cli
+    from rvvfuzz.difftest import RunOutcome, Verdict
+
+    class TrackedOutcome(RunOutcome):
+        __hash__ = object.__hash__  # a WeakSet member needs one
+
+    alive = weakref.WeakSet()
+    alive_at_start = {}
+
+    def stub_fuzz_seed(gen, seed, configs, workdir, **kw):
+        alive_at_start[seed] = sorted({o.seed for o in alive})
+        outcomes = [TrackedOutcome(seed, mode, "cc", "-O0", "ok", "ok", "x" * 10_000)
+                    for mode in ("allin", "unit", "random")]
+        alive.update(outcomes)
+        return [Verdict(seed, "Pass", "", ())], outcomes
+
+    monkeypatch.setattr(cli, "fuzz_seed", stub_fuzz_seed)
+    cc = _mock_cc(tmp_path, "cc.sh", "exit 0\n")
+    compilers = _compilers_json(tmp_path, [
+        {"label": "cc", "compile_cmd": [cc, "{src}", "{out}", "{opt}"], "opt_levels": ["-O0"]},
+    ])
+    report = tmp_path / "report.jsonl"
+    rc = main([
+        "fuzz", "--listing", listing_file, "--seeds", "0..5", "--ratio-type", "i8m1",
+        "--out", str(tmp_path / "fz"), "--compilers", compilers, "--report", str(report),
+    ])
+    assert rc == 0
+    assert alive_at_start == {seed: [] for seed in range(6)}
+    assert len(alive) == 0
+    summary = json.loads(report.read_text().splitlines()[-1])["summary"]
+    assert summary["counts"]["Pass"] == 6

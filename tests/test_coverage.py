@@ -9,6 +9,8 @@ from rvvfuzz.coverage import (
 )
 from rvvfuzz.intrinsics import parse_definitions
 
+from reference import compute_coverage as reference_coverage
+
 TWO_DEFS = "\n".join(
     [
         "vint8m1_t __riscv_vadd_vv_i8m1(vint8m1_t vs2, vint8m1_t vs1, size_t vl);",
@@ -111,3 +113,41 @@ def test_format_report_smoke():
     text = format_report(rep, category_breakdown(rep, defs))
     assert "overall intrinsic coverage" in text
     assert "arithmetic" in text
+
+
+def _assert_same_report(got, want):
+    assert got.overall == want.overall
+    assert got.naming_totals == want.naming_totals
+    assert got.per_intrinsic == want.per_intrinsic
+    assert got.corpus_size == want.corpus_size
+
+
+def test_matches_reference_on_catalog_seeds(catalog_gen):
+    corpus = [c.source for seed in range(200) for c in catalog_gen.cases(seed)]
+    _assert_same_report(compute_coverage(corpus, catalog_gen.defs),
+                        reference_coverage(corpus, catalog_gen.defs))
+
+
+def test_matches_reference_with_unlisted_and_prefix_names(catalog_defs):
+    corpus = [
+        # listed, a prefix of a listed name, an unlisted name, a name inside
+        # a longer identifier, and a listed name that outruns its weight
+        "__riscv_vadd_vv_i8m1(a, b, vl); __riscv_vadd_vv_i8m1_m(m, a, b, vl);",
+        "__riscv_vadd_vv(a, b); __riscv_vfoo_vv_i8m1(a); x__riscv_vsub_vv_i8m1(a);",
+        "__riscv_vadd_vv_i8m1(a, b, vl); __riscv_vadd_vv_i8m1(a, b, vl);",
+        "",
+    ]
+    _assert_same_report(compute_coverage(corpus, catalog_defs),
+                        reference_coverage(corpus, catalog_defs))
+    defs = parse_definitions(TWO_DEFS)  # weights: vadd..=1, vmax=2
+    for extra in ([], ["__riscv_vmax();"], ["__riscv_vmax();"] * 3):
+        _assert_same_report(compute_coverage(corpus + extra, defs),
+                            reference_coverage(corpus + extra, defs))
+
+
+def test_generator_and_list_give_equal_reports(catalog_gen):
+    sources = [catalog_gen.case(seed, "allin").source for seed in range(50)]
+    from_list = compute_coverage(sources, catalog_gen.defs)
+    from_generator = compute_coverage((s for s in sources), catalog_gen.defs)
+    assert from_generator == from_list
+    assert from_generator.corpus_size == 50

@@ -13,6 +13,7 @@ from rvvfuzz.intrinsics import (
     is_always_undefined,
     is_ratio_aligned,
     is_reduction,
+    iter_lines,
     parse_definitions,
     parse_prototype,
 )
@@ -279,5 +280,47 @@ def test_type_token_set_matches_the_grammar():
               for p in line.split("(")[0].split()[-1].split("_")}
     near = {"i8m3", "i8mf16", "e8", "b3", "b128", "u8m1x9", "u8m1x1", "x2", "f8",
             "i128", "m1", "vv", "v", "rm", "tumu", "I8M1", ""}
-    for piece in pieces | near | _VTYPE_TOKENS:
+    for piece in pieces | near | _VTYPE_TOKENS.keys():
         assert (piece in _VTYPE_TOKENS) == bool(grammar.match(piece)), piece
+
+
+def test_parsed_catalog_shares_repeated_values(catalog_defs):
+    """One object per distinct value, however many records hold it."""
+    getters = {
+        "stem": lambda d: d.stem,
+        "mnemonic": lambda d: d.mnemonic,
+        "type_tokens": lambda d: d.name_parts.type_tokens,
+        "policy": lambda d: d.name_parts.policy,
+        "ret_ctype": lambda d: d.ret_ctype,
+    }
+    for field, get in getters.items():
+        values = [get(d) for d in catalog_defs]
+        assert len({id(v) for v in values}) == len(set(values)), field
+    tokens = [tok for d in catalog_defs for tok in d.name_parts.type_tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+
+
+def test_generator_keeps_at_most_11_mb(catalog_listing):
+    import gc
+    import tracemalloc
+
+    from rvvfuzz.pipeline import Generator
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gen = Generator(catalog_listing)
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(gen.defs) == 26_635
+    assert kept <= 11e6, f"Generator keeps {kept / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8, 1 << 16])
+def test_iter_lines_is_splitlines(block):
+    text = ("a\r\nbc\n\n\rd\x0be\x0cf\x1cg h\r\r\n\n"
+            "long line " * 3 + "\n\r\n" + "\n" * 4 + "tail\r")
+    for end in range(len(text) + 1):
+        assert list(iter_lines(text[:end], block)) == text[:end].splitlines()

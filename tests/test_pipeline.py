@@ -16,6 +16,8 @@ from rvvfuzz.pipeline import (
     write_case,
 )
 
+from reference import sidecar_bytes
+
 
 @pytest.fixture(scope="module")
 def gen():
@@ -104,3 +106,19 @@ def test_run_config_seed_range():
     assert list(cfg.seed_range()) == [3, 4, 5, 6]
     with pytest.raises(ValueError):
         RunConfig(seeds=(6, 3)).seed_range()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"ratio_token": "u16mf2", "coin_bias": 0.1},
+    {"ratio_token": "f64m8", "coin_bias": 1 / 3},
+], ids=["default", "u16mf2-0.1", "f64m8-third"])
+def test_write_case_bytes_match_json_dumps(catalog_gen, tmp_path, overrides):
+    """The sidecar writer's bytes are json.dumps(meta, indent=2,
+    sort_keys=True) + newline on the catalog's seeds 0..999 x 3 modes, by
+    default and with a pinned ratio type and other coin biases."""
+    for seed in range(1000):
+        for case in catalog_gen.cases(seed, **overrides):
+            src, sidecar = write_case(case, tmp_path)
+            assert Path(src).read_bytes() == case.source.encode()
+            assert Path(sidecar).read_bytes() == sidecar_bytes(case), case.name
